@@ -256,7 +256,8 @@ let () =
         \       compare.exe --access-log FILE";
       exit 2
   in
-  let baseline = rows_of (read_json baseline_path) baseline_path in
+  let baseline_doc = read_json baseline_path in
+  let baseline = rows_of baseline_doc baseline_path in
   let current = rows_of (read_json current_path) current_path in
   let index rows =
     let tbl = Hashtbl.create 64 in
@@ -334,18 +335,19 @@ let () =
       !batched_checked;
   (* kernel gates on the current run *)
   let current_doc = read_json current_path in
-  let kernel_rows =
-    match Obs.Json.member "kernels" current_doc with
+  let kernels_of doc =
+    match Obs.Json.member "kernels" doc with
     | Some (Obs.Json.List rows) -> rows
     | _ -> []
   in
-  let kernel_time kernel variant =
+  let kernel_rows = kernels_of current_doc in
+  let kernel_time ?(rows = kernel_rows) kernel variant =
     List.find_map
       (fun row ->
         if str_field "kernel" row = kernel && str_field "variant" row = variant
         then Option.bind (Obs.Json.member "time_s" row) Obs.Json.to_float
         else None)
-      kernel_rows
+      rows
   in
   (match (kernel_time "spmv" "scatter", kernel_time "spmv" "gather") with
    | Some scatter, Some gather ->
@@ -382,6 +384,23 @@ let () =
       failures :=
         "gate_speedup set but pcg_iterate seq/par rows missing" :: !failures
   end;
+  (* MatrixMarket read gate, against the baseline: the kernels phase
+     records Matrix_market.read in seconds per Mnnz, and a reader more than
+     BENCH_TOL_FACTOR slower than the committed figure fails (the Scanf
+     reader it replaced ran 2.2-3.8x the baseline on the same host) *)
+  (match
+     ( kernel_time ~rows:(kernels_of baseline_doc) "mtx_read" "s_per_mnnz",
+       kernel_time "mtx_read" "s_per_mnnz" )
+   with
+   | Some base, Some cur ->
+     Printf.printf "mtx read gate: %.3f s/Mnnz (baseline %.3f)\n" cur base;
+     if cur > tol_factor *. base then
+       failures :=
+         Printf.sprintf "mtx_read regressed: %.3f -> %.3f s/Mnnz (> %.1fx)"
+           base cur tol_factor
+         :: !failures
+   | None, Some _ -> notes := "mtx_read: no baseline row" :: !notes
+   | _ -> ());
   (* factor gates on the current run *)
   (match Obs.Json.member "factor" current_doc with
    | None -> ()

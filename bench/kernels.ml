@@ -1,10 +1,11 @@
 (* Hot-path kernel microbenchmarks for the parallel backend: scatter vs
    gather SpMV, sequential vs level-scheduled triangular solves, and a
    representative PCG iteration (SpMV + preconditioner apply + dot +
-   axpy) at one domain and at the widest sensible pool. Results go into
-   bench.json under "kernels"; bench/compare.ml gates gather-vs-scatter
-   always and the parallel speedup only when the run was wide enough
-   (Runner.gate_speedup). *)
+   axpy) at one domain and at the widest sensible pool, plus the
+   MatrixMarket read of the same grid. Results go into bench.json under
+   "kernels"; bench/compare.ml gates gather-vs-scatter always, the
+   parallel speedup only when the run was wide enough
+   (Runner.gate_speedup), and the read against the baseline. *)
 
 open Bechamel
 open Toolkit
@@ -61,6 +62,31 @@ let measure ~kernel ~variant ~domains ~n f =
   Printf.printf "%-28s %2d domain(s) %12.3f us/run\n%!" name domains
     (t *. 1e6);
   t
+
+(* Matrix_market.read of the fixture grid written to a temp file, in
+   seconds per million stored entries (the row's time_s). compare.exe
+   holds it to the committed baseline, so a return to a Scanf-speed
+   parser fails bench-smoke. *)
+let mtx_read a =
+  let path = Filename.temp_file "powerrchol-kernels" ".mtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sparse.Matrix_market.write ~symmetric:true path a;
+      (* a read takes tens of milliseconds, long enough to time directly;
+         the best of 9 shrugs off a noisy neighbour *)
+      let best = ref infinity in
+      for _ = 1 to 9 do
+        let t0 = Obs.now () in
+        ignore (Sparse.Matrix_market.read path);
+        best := Float.min !best (Obs.now () -. t0)
+      done;
+      let nnz = Sparse.Csc.nnz a in
+      let s_per_mnnz = !best /. (float_of_int nnz /. 1e6) in
+      Runner.record_kernel ~kernel:"mtx_read" ~variant:"s_per_mnnz" ~domains:1
+        ~n:nnz ~time_s:s_per_mnnz;
+      Printf.printf "%-28s %2d domain(s) %12.3f s/Mnnz\n%!" "mtx_read" 1
+        s_per_mnnz)
 
 let run () =
   let p, perm, l = Lazy.force fixture in
@@ -138,4 +164,5 @@ let run () =
           par_domains >= 4 && Par.hardware_domains () >= 4
       end;
       Printf.printf "gather vs scatter (sequential): %.2fx\n"
-        (t_scatter /. t_gather))
+        (t_scatter /. t_gather);
+      mtx_read a)

@@ -8,26 +8,36 @@
 exception Parse_error of string
 
 val read : string -> Csc.t
-(** [read path] loads an .mtx file with the streaming two-pass reader: the
-    first pass counts entries per column, the second fills the CSC buckets
-    directly — no triplet list is materialized, so peak memory is the
-    final matrix plus one cursor array. The result is bit-for-bit
-    identical to {!read_triplet}. Raises [Parse_error] on malformed input
-    (every message from this path carries the 1-based line number) and
+(** [read path] loads an .mtx file in two streaming passes: the first
+    counts entries per column, the second fills the CSC buckets directly,
+    so peak memory is the final matrix plus one cursor array. Each pass
+    scans the file in fixed 16 KiB chunks and parses every line in place,
+    so a file of any size costs one chunk plus its longest line.
+
+    Grammar. Line 1 is the header. After it, lines are split at ['\n'] and
+    trimmed of [' '], ['\t'], ['\r'] and form feed at both ends; blank
+    lines and lines starting with [%] are skipped anywhere. The first
+    remaining line is the size line ([rows cols entries]); each of the
+    next [entries] is one entry [i j value]:
+    - an index is an optional [+] or [-], a decimal digit, then digits or
+      [_] (skipped); the 1-based indices must lie inside the declared
+      dimensions;
+    - tokens are separated by any run of [' '], ['\t'] or ['\r'], which
+      may be empty after an index ([1 22.5] is [(1, 22, 0.5)]);
+    - the value is the token up to the next separator, converted by
+      [float_of_string], so [nan], [inf], hex floats and [_] separators
+      load and diagnostics can report them;
+    - anything after the value (or after the third size-line integer) is
+      ignored.
+
+    A line too short for its tokens (["1"] as an entry) is malformed.
+
+    Errors. Raises [Parse_error] on malformed input, always prefixed
+    [line N:] with the 1-based line of the first fault in file order, and
     [Sys_error] on I/O failure. The declared entry count is enforced both
     ways: a file that ends early {e or} continues past its declared nnz (a
     truncated/concatenated export) raises [Parse_error] with the offending
     line — it never loads silently with entries dropped. *)
-
-val read_triplet : string -> Csc.t
-(** [read_triplet path] loads via the materialized-triplet path
-    ({!read_channel} on the opened file). Reference implementation for the
-    streaming reader; prefer {!read}, which peaks at roughly a third of
-    the memory. *)
-
-val read_channel : in_channel -> Csc.t
-(** Triplet-based reader over any channel (channels cannot be rewound, so
-    the two-pass streaming build needs a path — see {!read}). *)
 
 val write : ?symmetric:bool -> string -> Csc.t -> unit
 (** [write ~symmetric path a] stores [a]; with [~symmetric:true] (default
@@ -47,7 +57,10 @@ val read_vectors : string -> Vec.t array
 (** [read_vectors path] loads a dense [matrix array real general] file as
     one array per column (column-major storage, as MatrixMarket
     specifies). A k-column file is k right-hand sides for the same
-    matrix — the batched factor-once / solve-many input. *)
+    matrix — the batched factor-once / solve-many input. It uses the same
+    chunked scanner and line rules as {!read}; each value line, trimmed,
+    must be one [float_of_string] token, and every [Parse_error] carries
+    its [line N:] prefix. *)
 
 val write_vector : string -> Vec.t -> unit
 

@@ -212,6 +212,88 @@ let test_symmetrize_check () =
 
 (* ---- MatrixMarket ---- *)
 
+(* Test oracle: a line-at-a-time reader over In_channel.input_line,
+   String.trim, Scanf " %d %d %s" and float_of_string, building a triplet
+   list. The library reader must load every input this loads, bit for bit,
+   and fail every input this rejects on the same line. Scanf raises
+   End_of_file on a line too short for the format; that is a malformed
+   line here. *)
+module Oracle = struct
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> raise (Sparse.Matrix_market.Parse_error s))
+      fmt
+
+  let scan l fmt f =
+    try Some (Scanf.sscanf l fmt f)
+    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+  let read_channel ic =
+    let line = ref 0 in
+    let input () =
+      let l = In_channel.input_line ic in
+      if l <> None then incr line;
+      l
+    in
+    let rec next_data () =
+      match input () with
+      | None -> None
+      | Some l ->
+        let l = String.trim l in
+        if l = "" || l.[0] = '%' then next_data () else Some l
+    in
+    let header =
+      match input () with Some l -> l | None -> fail "line 1: empty file"
+    in
+    let tokens =
+      String.lowercase_ascii (String.trim header)
+      |> String.map (function '\t' | '\r' | '\012' -> ' ' | c -> c)
+      |> String.split_on_char ' '
+      |> List.filter (fun t -> t <> "")
+    in
+    let symmetric =
+      match tokens with
+      | [ "%%matrixmarket"; "matrix"; "coordinate"; ("real" | "integer"); sym ]
+        -> (
+        match sym with
+        | "general" -> false
+        | "symmetric" -> true
+        | _ -> fail "line 1: unsupported symmetry")
+      | _ -> fail "line 1: malformed header"
+    in
+    let size_line =
+      match next_data () with
+      | Some l -> l
+      | None -> fail "line %d: missing size line" !line
+    in
+    let n_rows, n_cols, entries =
+      match scan size_line " %d %d %d" (fun a b c -> (a, b, c)) with
+      | Some sizes -> sizes
+      | None -> fail "line %d: malformed size line" !line
+    in
+    if n_rows < 0 || n_cols < 0 || entries < 0 then
+      fail "line %d: negative size" !line;
+    if symmetric && n_rows <> n_cols then
+      fail "line %d: non-square symmetric" !line;
+    let t = Triplet.create ~capacity:(max entries 1) ~n_rows ~n_cols () in
+    for k = 1 to entries do
+      match next_data () with
+      | None -> fail "line %d: file ended at %d" !line (k - 1)
+      | Some l -> (
+        match scan l " %d %d %s" (fun i j v -> (i, j, float_of_string v)) with
+        | None -> fail "line %d: malformed entry" !line
+        | Some (i, j, _) when i < 1 || i > n_rows || j < 1 || j > n_cols ->
+          fail "line %d: out of bounds" !line
+        | Some (i, j, v) ->
+          if symmetric then Triplet.add_symmetric t (i - 1) (j - 1) v
+          else Triplet.add t (i - 1) (j - 1) v)
+    done;
+    if next_data () <> None then fail "line %d: file continues" !line;
+    Csc.of_triplet t
+
+  let read path = In_channel.with_open_bin path read_channel
+end
+
 let test_mtx_roundtrip_general () =
   let _, a = random_pair ~seed:103 ~n_rows:12 ~n_cols:7 ~density:0.3 in
   let path = Filename.temp_file "powerrchol" ".mtx" in
@@ -270,8 +352,8 @@ let test_mtx_rejects_nonsquare_symmetric () =
          | exception Sparse.Matrix_market.Parse_error msg ->
            (* the error must carry the size line's position *)
            String.length msg >= 6 && String.sub msg 0 6 = "line 2");
-      Alcotest.(check bool) "triplet reader rejects" true
-        (match Sparse.Matrix_market.read_triplet path with
+      Alcotest.(check bool) "oracle rejects" true
+        (match Oracle.read path with
          | _ -> false
          | exception Sparse.Matrix_market.Parse_error _ -> true))
 
@@ -318,9 +400,9 @@ let test_mtx_nonfinite_values_load () =
   Test_util.check_float "inf stored" infinity (Csc.get a 1 1);
   Test_util.check_float "finite neighbor" 1.5 (Csc.get a 1 0)
 
-(* The streaming two-pass reader must agree with the materialized-triplet
-   reference not just numerically but bit-for-bit: same column pointers,
-   same row order, same value bits (nan payloads included). *)
+(* The streaming two-pass reader must agree with the Scanf triplet oracle
+   not just numerically but bit-for-bit: same column pointers, same row
+   order, same value bits (nan payloads included). *)
 let check_csc_identical name (a : Csc.t) (b : Csc.t) =
   Alcotest.(check (pair int int)) (name ^ ": dims") (Csc.dims a) (Csc.dims b);
   Alcotest.(check (array int))
@@ -348,9 +430,7 @@ let test_mtx_streaming_equals_triplet () =
     Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
   in
   let check name path =
-    check_csc_identical name
-      (Sparse.Matrix_market.read_triplet path)
-      (Sparse.Matrix_market.read path)
+    check_csc_identical name (Oracle.read path) (Sparse.Matrix_market.read path)
   in
   (* the same fixtures the roundtrip/header tests above exercise *)
   let _, general = random_pair ~seed:103 ~n_rows:12 ~n_cols:7 ~density:0.3 in
@@ -371,6 +451,137 @@ let test_mtx_streaming_equals_triplet () =
   with_file
     "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 0.1\n3 2 5.0\n1 1 0.2\n1 1 0.3\n"
     (check "duplicates")
+
+(* ---- reader vs oracle: error contract, chunk boundaries, round trip ---- *)
+
+let with_mtx content f =
+  let path = Filename.temp_file "powerrchol" ".mtx" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc content);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Ok matrix, or Error with the line number the Parse_error names *)
+let outcome read path =
+  match read path with
+  | a -> Ok a
+  | exception Sparse.Matrix_market.Parse_error msg -> (
+    try Error (Scanf.sscanf msg "line %d:" Fun.id)
+    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+      Alcotest.failf "Parse_error without a line prefix: %s" msg)
+
+let check_same_outcome name path =
+  match (outcome Oracle.read path, outcome Sparse.Matrix_market.read path) with
+  | Ok a, Ok b -> check_csc_identical name a b
+  | Error la, Error lb -> Alcotest.(check int) (name ^ ": error line") la lb
+  | Ok _, Error l ->
+    Alcotest.failf "%s: the oracle loads, the reader fails at line %d" name l
+  | Error l, Ok _ ->
+    Alcotest.failf "%s: the reader loads, the oracle fails at line %d" name l
+
+let same_csc (a : Csc.t) (b : Csc.t) =
+  let bits x = Array.map Int64.bits_of_float (arr x) in
+  Csc.dims a = Csc.dims b
+  && Sparse.Idx.to_array a.Csc.col_ptr = Sparse.Idx.to_array b.Csc.col_ptr
+  && Sparse.Idx.to_array a.Csc.row_idx = Sparse.Idx.to_array b.Csc.row_idx
+  && bits a.Csc.values = bits b.Csc.values
+
+let general = "%%MatrixMarket matrix coordinate real general\n"
+
+(* Each malformed or unusual input, with the outcome both readers must
+   agree on: [None] loads, [Some n] fails naming line n. *)
+let error_contract_table =
+  let g body = general ^ body in
+  [
+    ("short entry count", g "2 2 3\n1 1 1.0\n2 2 2.0\n", Some 4);
+    ("long entry count", g "2 2 1\n1 1 1.0\n2 2 2.0\n", Some 4);
+    ("out-of-bounds index", g "2 2 2\n1 1 1.0\n3 1 2.0\n", Some 4);
+    ("zero index", g "2 2 2\n1 1 1.0\n0 1 2.0\n", Some 4);
+    ("negative index", g "2 2 1\n-1 1 1.0\n", Some 3);
+    ("non-numeric index", g "2 2 2\n1 1 1.0\n1 x 2.0\n", Some 4);
+    ("index overflow", g "2 2 1\n99999999999999999999 1 1.0\n", Some 3);
+    ("empty value", g "2 2 2\n1 1 1.0\n2 2\n", Some 4);
+    ("one-token entry", g "2 2 1\n1\n", Some 3);
+    ("malformed value", g "2 2 1\n1 1 1.0.0\n", Some 3);
+    (* the first fault in file order wins over the surplus line after it *)
+    ("malformed value, then surplus", g "2 2 1\n1 1 x\n2 2 2.0\n", Some 3);
+    ("nan/inf/hex values", g "2 2 4\n1 1 nan\n2 2 -inf\n2 1 0x1.8p3\n1 2 \
+                                infinity\n", None);
+    ("underscores", g "20 20 2\n1_0 2 1_000.5\n2 1 -0.5\n", None);
+    ("+-signed indices", g "2 2 2\n+1 +1 +1.5\n+2 1 -2.5\n", None);
+    (* Scanf ignores what follows the value; so does the reader *)
+    ("trailing tokens", g "2 2 2\n1 1 1.0 junk\n2 2 2.0 3 4\n", None);
+    ("trailing size-line token", g "2 2 1 extra\n1 1 1.0\n", None);
+    (* an index need not be followed by a separator: "1 22.5" is (1,22,.5) *)
+    ("glued value", g "30 30 1\n1 22.5\n", None);
+    ("tabs", g "2\t2\t2\n1\t1\t1.0\n\t2 \t 2\t2.0\t\n", None);
+    ("CRLF", general ^ "2 2 2\r\n1 1 1.0\r\n2 2 2.0\r\n", None);
+    ("form feeds", g "2 2 1\n\0121 1 1.0\012\n", None);
+    ("blank and comment lines", g "% c\n\n2 2 2\n\n% mid\n  \n1 1 1.0\n%\n\
+                                    \t\n2 2 2.0\n\n% tail\n", None);
+    ("no trailing newline", g "2 2 2\n1 1 1.0\n2 2 2.0", None);
+    ("blank last line without newline", g "2 2 1\n1 1 1.0\n  ", None);
+    ("duplicates", g "3 3 3\n1 1 0.1\n1 1 0.2\n3 1 5.0\n", None);
+    ("empty file", "", Some 1);
+    ("malformed header", "%%MatrixMarket matrix array real general\n", Some 1);
+    ("missing size line", g "% only a comment\n", Some 2);
+    ("malformed size line", g "2 2\n1 1 1.0\n", Some 2);
+    ("negative size", g "2 -2 1\n1 1 1.0\n", Some 2);
+    ( "non-square symmetric",
+      "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n1 1 1.0\n",
+      Some 2 );
+    ( "symmetric out of bounds",
+      "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n",
+      Some 3 );
+  ]
+
+let test_mtx_error_contract () =
+  List.iter
+    (fun (name, content, expect) ->
+      with_mtx content (fun path ->
+          check_same_outcome name path;
+          match (expect, outcome Sparse.Matrix_market.read path) with
+          | None, Ok _ -> ()
+          | Some n, Error l -> Alcotest.(check int) (name ^ ": line") n l
+          | None, Error l -> Alcotest.failf "%s: fails at line %d" name l
+          | Some n, Ok _ -> Alcotest.failf "%s: loads, expected line %d" name n))
+    error_contract_table;
+  check_same_outcome "/dev/null" "/dev/null"
+
+(* The reader scans 16 KiB chunks. Slide one entry line across the first
+   chunk boundary a byte at a time, so the cut falls in every token, every
+   separator and between the CR and LF; then put a comment longer than a
+   whole chunk between two entries. *)
+let chunk = 16384
+
+let test_mtx_chunk_boundaries () =
+  let entry = "12 34 -1.2345678901234567e-05\r\n" in
+  let head = general ^ "40 40 3\n7 7 2.5\n" in
+  for cut = 0 to String.length entry do
+    let pad = chunk - cut - String.length head - 2 in
+    let content =
+      head ^ "%" ^ String.make pad 'x' ^ "\n" ^ entry ^ "40 1 0.125\n"
+    in
+    assert (String.sub content (chunk - cut) (String.length entry) = entry);
+    with_mtx content (check_same_outcome (Printf.sprintf "cut at %d" cut))
+  done;
+  let long_comment = "% " ^ String.make ((3 * chunk) + 17) 'c' ^ "\r\n" in
+  with_mtx
+    (general ^ "40 40 3\n1 1 1.0\n" ^ long_comment ^ "2 2 2.0\n"
+   ^ long_comment ^ "40 40 3.0\n")
+    (check_same_outcome "comment longer than a chunk");
+  (* a grid spanning many chunks *)
+  let p =
+    Powergrid.Generate.generate
+      (Powergrid.Generate.default ~nx:60 ~ny:60 ~seed:11)
+  in
+  let path = Filename.temp_file "powerrchol" ".mtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sparse.Matrix_market.write ~symmetric:true path p.Sddm.Problem.a;
+      Alcotest.(check bool) "grid spans chunks" true
+        (In_channel.with_open_bin path In_channel.length
+        > Int64.of_int (4 * chunk));
+      check_same_outcome "60x60 grid" path)
 
 (* ---- index width ---- *)
 
@@ -415,6 +626,56 @@ let arb_sddm =
       Printf.sprintf "graph n=%d m=%d" (Sddm.Graph.n_vertices g)
         (Sddm.Graph.n_edges g))
     sddm_gen
+
+(* Random SDDM matrices written under either header, then dressed the way
+   real exports are: comment and blank lines between entries, tabs and
+   runs of blanks for separators, CRLF endings, no final newline. The
+   reader must match the Scanf oracle bit for bit. *)
+let dress ~seed content =
+  let rng = Rng.create seed in
+  let pick p = Rng.float rng < p in
+  let crlf = pick 0.5 and tabs = pick 0.5 and noise = pick 0.7 in
+  let lines = String.split_on_char '\n' content in
+  let lines = List.filter (fun l -> l <> "") lines in
+  let b = Buffer.create (String.length content * 2) in
+  let eol () = Buffer.add_string b (if crlf then "\r\n" else "\n") in
+  List.iteri
+    (fun k l ->
+      if k > 0 && noise && pick 0.15 then begin
+        Buffer.add_string b
+          (match Rng.int rng 4 with
+           | 0 -> "% a comment"
+           | 1 -> "%%"
+           | 2 -> ""
+           | _ -> " \t ");
+        eol ()
+      end;
+      let l =
+        if k > 0 && tabs then
+          String.concat (if pick 0.5 then "\t" else " \t  ")
+            (String.split_on_char ' ' l)
+        else l
+      in
+      Buffer.add_string b l;
+      if k < List.length lines - 1 || pick 0.7 then eol ())
+    lines;
+  Buffer.contents b
+
+let prop_mtx_reader_matches_oracle =
+  QCheck.Test.make ~name:"mtx reader matches the Scanf oracle" ~count:150
+    QCheck.(pair arb_sddm (pair bool small_nat))
+    (fun ((g, d), (symmetric, seed)) ->
+      let a = Sddm.Graph.to_sddm g d in
+      let path = Filename.temp_file "powerrchol" ".mtx" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Sparse.Matrix_market.write ~symmetric path a;
+          let content = In_channel.with_open_bin path In_channel.input_all in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (dress ~seed content));
+          let b = Sparse.Matrix_market.read path in
+          same_csc b (Oracle.read path) && Csc.frobenius_diff a b = 0.0))
 
 let prop_spmv_linear =
   QCheck.Test.make ~name:"spmv is linear" ~count:100 arb_sddm
@@ -510,6 +771,10 @@ let () =
             test_mtx_vector_rejects_matrix;
           Alcotest.test_case "streaming equals triplet bit-for-bit" `Quick
             test_mtx_streaming_equals_triplet;
+          Alcotest.test_case "error contract matches the oracle" `Quick
+            test_mtx_error_contract;
+          Alcotest.test_case "chunk boundaries match the oracle" `Quick
+            test_mtx_chunk_boundaries;
         ] );
       ( "idx",
         [ Alcotest.test_case "index width round-trip" `Quick test_idx_width ] );
@@ -519,5 +784,6 @@ let () =
             prop_spmv_linear;
             prop_permute_preserves_spectrum_proxy;
             prop_transpose_spmv;
+            prop_mtx_reader_matches_oracle;
           ] );
     ]

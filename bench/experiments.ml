@@ -502,15 +502,7 @@ let ablation () =
       ("fegrass-ichol", Powerrchol.Solver.fegrass_ichol ());
       ("amg", Powerrchol.Solver.amg_pcg ());
       ("jacobi", Powerrchol.Solver.jacobi ());
-    ];
-  printf "%-16s" "schwarz-1024/1";
-  (let pc = Krylov.Schwarz.preconditioner ~block_size:1024 ~overlap:1 p in
-   let res =
-     Krylov.Pcg.solve ~rtol:1e-10 ~max_iter:3000 ~a:p.Sddm.Problem.a
-       ~b:p.Sddm.Problem.b ~precond:pc ()
-   in
-   printf " %6d %12.1f\n" res.Krylov.Pcg.iterations
-     res.Krylov.Pcg.condition_estimate)
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* The factor-once / solve-many workload: one preparation amortized over a

@@ -347,35 +347,14 @@ module Session = struct
     remove_config ~count_evictions:(s.version > 0) (session_config s);
     insert key s.prepared
 
-  (* The session's preparation: partitioned ordering + LT-RChol
-     factorization, identical (bit-for-bit, same seed discipline) to
-     [Solver.powerrchol_prepare], but through the updatable factorization
-     so later edits can re-eliminate in place. *)
+  (* The session's preparation: {!Solver.powerrchol_prepare}'s pipeline
+     with the updatable factorizer, so later edits can re-eliminate in
+     place. *)
   let build ~seed ~buckets ~heavy_factor problem =
-    let g = problem.Sddm.Problem.graph in
-    let t0 = Unix.gettimeofday () in
-    let perm =
-      Obs.span "reorder" (fun () ->
-          Ordering.Partitioned.order ~heavy_factor g)
-    in
-    let t1 = Unix.gettimeofday () in
-    let upd =
-      Obs.span "factor" (fun () ->
-          let gp = Sddm.Graph.permute g perm in
-          let d = problem.Sddm.Problem.d in
-          let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-          let rng = Rng.create seed in
-          Factor.Lt_rchol.factorize_updatable ~buckets ~rng gp ~d:dp)
-    in
-    let t2 = Unix.gettimeofday () in
-    let l = Factor.Rand_chol.factor upd in
-    let prepared =
-      Solver.make_prepared ~solver_name:"powerrchol" problem
-        ~precond:(Krylov.Precond.of_factor ~name:"powerrchol" ~perm l)
-        ~t_reorder:(t1 -. t0) ~t_precond:(t2 -. t1)
-        ~factor_nnz:(Factor.Lower.nnz l)
-    in
-    (perm, upd, prepared)
+    Solver.prepare_rand_chol ~name:"powerrchol"
+      ~order:(Ordering.Partitioned.order ~heavy_factor)
+      ~factorize:(Factor.Lt_rchol.factorize_updatable ~buckets)
+      ~lower:Factor.Rand_chol.factor ~seed problem
 
   let create ?(buckets = Factor.Lt_rchol.default_buckets)
       ?(heavy_factor = Solver.default_heavy_factor)
@@ -484,8 +463,7 @@ module Session = struct
       add_pending s node node (to_s -. from_s);
       true
 
-  let update s edits =
-    let t0 = Unix.gettimeofday () in
+  let apply_update s edits =
     (* validate the whole batch before touching anything: an invalid edit
        mid-list must not leave the session half-mutated *)
     let n = Sddm.Problem.n (Sddm.Edit.problem s.state) in
@@ -584,18 +562,16 @@ module Session = struct
             [ skip ~rung:"local" ~reason; skip ~rung:"low-rank" ~reason ] )
       end
     in
+    (rung, columns, support, skipped, changes)
+
+  let update s edits =
+    let (rung, columns, support, skipped, changes), t_update =
+      Solver.timed "update" (fun () -> apply_update s edits)
+    in
     register s;
     Obs.count "engine/update" 1;
     Obs.count (Printf.sprintf "engine/update/%s" (rung_name rung)) 1;
-    {
-      version = s.version;
-      rung;
-      columns;
-      support;
-      skipped;
-      t_update = Unix.gettimeofday () -. t0;
-      changes;
-    }
+    { version = s.version; rung; columns; support; skipped; t_update; changes }
 
   let solve ?rtol ?max_iter ?deadline ?x0 ?b s =
     Solver.solve_prepared ?rtol ?max_iter ?deadline ?x0

@@ -80,8 +80,8 @@ val reset_stats : unit -> unit
       itself stays stale; deltas accumulate until a later update
       succeeds with a deeper rung.
     - {!Session.Full} — fallback that re-prepares from scratch exactly
-      as {!powerrchol} would (bit-for-bit: same ordering, same seed
-      discipline), preserving the PCG workspace so warm-started
+      through {!Solver.prepare_rand_chol}, the function {!powerrchol}
+      prepares with (bit-for-bit by construction), preserving the PCG workspace so warm-started
       iteration state survives.
 
     Rung selection is automatic; rungs ruled out by policy are recorded

@@ -1,23 +1,13 @@
 (* Preparations route through the Engine cache: repeated solves of the
    same system (or a solve_many after a solve) reuse one reordering +
-   factorization. The result restores full-cost semantics — the handle's
-   preparation times are folded back in so the phase-timing tables stay
-   honest even when the preparation was cached. *)
-let restore_prepare_cost (prepared : Solver.prepared) (r : Solver.result) =
-  {
-    r with
-    Solver.t_reorder = prepared.Solver.t_reorder;
-    t_precond = prepared.Solver.t_precond;
-    t_total =
-      prepared.Solver.t_reorder +. prepared.Solver.t_precond
-      +. r.Solver.t_iterate;
-  }
-
+   factorization. The result restores full-cost semantics
+   (Solver.with_prepare_cost) so the phase-timing tables stay honest even
+   when the preparation was cached. *)
 let solve ?rtol ?max_iter ?seed ?buckets ?heavy_factor problem =
   let prepared = Engine.powerrchol ?buckets ?heavy_factor ?seed problem in
   (* pass b explicitly: the cached handle may have been prepared from an
      equal-matrix problem with a different right-hand side *)
-  restore_prepare_cost prepared
+  Solver.with_prepare_cost prepared
     (Solver.solve_prepared ?rtol ?max_iter ~b:problem.Sddm.Problem.b prepared)
 
 let solve_many ?rtol ?max_iter ?seed ?buckets ?heavy_factor problem bs =

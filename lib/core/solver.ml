@@ -29,29 +29,32 @@ type result = {
 
 let default_seed = 20240623
 
-let now = Unix.gettimeofday
+(* The phase clock: run [f] inside the Obs span [name] and return its
+   value with the elapsed {!Obs.now} seconds, so a handle's phase times
+   and the profile's span times are read around the same code. *)
+let timed name f =
+  let t0 = Obs.now () in
+  let v = Obs.span name f in
+  (v, Obs.now () -. t0)
 
-(* Telemetry helper: every prepare ends here so the preconditioner size
-   ratio lands in the record regardless of which solver ran. *)
-let note_prepared problem (p : prepared) =
-  if Obs.enabled () then
-    Obs.gauge "precond_nnz_ratio"
-      (float_of_int p.factor_nnz
-      /. float_of_int (max 1 (Sddm.Problem.nnz problem)));
-  p
-
+(* Every prepare ends here: a fresh PCG workspace, and the
+   preconditioner size ratio lands in the record regardless of which
+   solver ran. *)
 let make_prepared ~solver_name problem ~precond ~t_reorder ~t_precond
     ~factor_nnz =
-  note_prepared problem
-    {
-      solver_name;
-      problem;
-      precond;
-      workspace = Krylov.Pcg.Workspace.create (Sddm.Problem.n problem);
-      t_reorder;
-      t_precond;
-      factor_nnz;
-    }
+  if Obs.enabled () then
+    Obs.gauge "precond_nnz_ratio"
+      (float_of_int factor_nnz
+      /. float_of_int (max 1 (Sddm.Problem.nnz problem)));
+  {
+    solver_name;
+    problem;
+    precond;
+    workspace = Krylov.Pcg.Workspace.create (Sddm.Problem.n problem);
+    t_reorder;
+    t_precond;
+    factor_nnz;
+  }
 
 let prepare solver problem =
   Obs.span "prepare" (fun () -> solver.prepare problem)
@@ -77,14 +80,12 @@ let solve_prepared_ws ?rtol ?(max_iter = 500) ?deadline ?x0 ?(history = false)
       (Sparse.Vec.copy v, true)
     | None -> (Sparse.Vec.create n, false)
   in
-  let t0 = now () in
-  let pcg =
-    Obs.span "pcg" (fun () ->
+  let pcg, t_iterate =
+    timed "pcg" (fun () ->
         Krylov.Pcg.solve_into ?rtol ~max_iter ?deadline ~history ~condition
           ~warm_start ~workspace ~x ~a:problem.Sddm.Problem.a ~b
           ~precond:p.precond ())
   in
-  let t_iterate = now () -. t0 in
   {
     solver = p.solver_name;
     x = pcg.Krylov.Pcg.x;
@@ -153,30 +154,20 @@ let solve_many ?rtol ?max_iter ?deadline ?history ?condition (p : prepared) bs
         Array.map (function Some r -> r | None -> assert false) results
       end)
 
-let iterate ?rtol ?(max_iter = 500) ?deadline solver prepared problem =
-  let n = Sddm.Problem.n problem in
-  let t0 = now () in
-  let pcg =
-    Obs.span "pcg" (fun () ->
-        Krylov.Pcg.solve_into ?rtol ~max_iter ?deadline ~history:true
-          ~condition:true ~warm_start:false ~workspace:prepared.workspace
-          ~x:(Sparse.Vec.create n) ~a:problem.Sddm.Problem.a
-          ~b:problem.Sddm.Problem.b ~precond:prepared.precond ())
-  in
-  let t_iterate = now () -. t0 in
+let with_prepare_cost (p : prepared) (r : result) =
   {
-    solver = solver.name;
-    x = pcg.Krylov.Pcg.x;
-    iterations = pcg.Krylov.Pcg.iterations;
-    status = pcg.Krylov.Pcg.status;
-    converged = pcg.Krylov.Pcg.converged;
-    residual = Sddm.Problem.residual_norm problem pcg.Krylov.Pcg.x;
-    t_reorder = prepared.t_reorder;
-    t_precond = prepared.t_precond;
-    t_iterate;
-    t_total = prepared.t_reorder +. prepared.t_precond +. t_iterate;
-    factor_nnz = prepared.factor_nnz;
+    r with
+    t_reorder = p.t_reorder;
+    t_precond = p.t_precond;
+    t_total = p.t_reorder +. p.t_precond +. r.t_iterate;
   }
+
+let iterate ?rtol ?max_iter ?deadline solver prepared problem =
+  let r =
+    solve_prepared_ws ?rtol ?max_iter ?deadline ~history:true ~condition:true
+      ~workspace:prepared.workspace { prepared with problem }
+  in
+  { (with_prepare_cost prepared r) with solver = solver.name }
 
 let run ?rtol ?max_iter ?deadline solver problem =
   iterate ?rtol ?max_iter ?deadline solver (solver.prepare problem) problem
@@ -210,80 +201,75 @@ let apply_ordering ordering g =
 
 (* ---- randomized-Cholesky solvers ---- *)
 
-let rand_chol_custom ~name ~sort ~sampling ~ordering ?(seed = default_seed)
-    () =
-  let prepare problem =
-    let g = problem.Sddm.Problem.graph in
-    let t0 = now () in
-    let perm = Obs.span "reorder" (fun () -> apply_ordering ordering g) in
-    let t1 = now () in
-    let l =
-      Obs.span "factor" (fun () ->
-          let gp = Sddm.Graph.permute g perm in
-          let d = problem.Sddm.Problem.d in
-          let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-          let rng = Rng.create seed in
-          Factor.Rand_chol.factorize ~sort ~sampling ~rng gp ~d:dp)
-    in
-    let t2 = now () in
-    make_prepared ~solver_name:name problem
-      ~precond:(Krylov.Precond.of_factor ~name ~perm l)
-      ~t_reorder:(t1 -. t0) ~t_precond:(t2 -. t1)
-      ~factor_nnz:(Factor.Lower.nnz l)
-  in
-  { name; prepare }
+(* The reorder phase, shared by every preparation that computes its own
+   permutation. *)
+let reorder order g = timed "reorder" (fun () -> order g)
 
-let rchol ?(ordering = Amd) ?seed () =
-  rand_chol_custom
-    ~name:(Printf.sprintf "rchol(%s)" (ordering_name ordering))
-    ~sort:Factor.Rand_chol.Exact_sort ~sampling:Factor.Rand_chol.Per_neighbor
-    ~ordering ?seed ()
-
-let lt_rchol ?(ordering = Amd) ?(buckets = Factor.Lt_rchol.default_buckets)
-    ?seed () =
-  rand_chol_custom
-    ~name:(Printf.sprintf "lt-rchol(%s)" (ordering_name ordering))
-    ~sort:(Factor.Rand_chol.Counting_sort { buckets })
-    ~sampling:Factor.Rand_chol.Shared_random ~ordering ?seed ()
-
-let default_heavy_factor = 10.0
-
-(* The paper's preparation with an optional precomputed Alg. 4
-   permutation: reordering is deterministic and seed-independent, so a
-   caller holding the permutation (the robust reseed rungs) skips straight
-   to the factorization. *)
-let powerrchol_prepare ?(buckets = Factor.Lt_rchol.default_buckets)
-    ?(heavy_factor = default_heavy_factor) ?(seed = default_seed) ?perm
-    problem =
+(* The one randomized-Cholesky preparation: reorder (unless [perm] is
+   given: reordering is deterministic and seed-independent, so a caller
+   holding the permutation skips straight to the factorization), permute
+   graph and excess, seed the generator, factorize, assemble the handle. *)
+let prepare_rand_chol ~name ~order ~factorize ~lower ?perm ~seed problem =
   let g = problem.Sddm.Problem.graph in
-  let t0 = now () in
   let perm, t_reorder =
-    match perm with
-    | Some perm -> (perm, 0.0)
-    | None ->
-      (* Partitioned = recursive bisection with Alg. 4 degree sort inside
-         each block: same local fill behavior as plain Alg. 4, but the
-         elimination tree gains independent branches so the multicore
-         factorization has subtrees to schedule (DESIGN.md §15). *)
-      let perm =
-        Obs.span "reorder" (fun () ->
-            Ordering.Partitioned.order ~heavy_factor g)
-      in
-      (perm, now () -. t0)
+    match perm with Some perm -> (perm, 0.0) | None -> reorder order g
   in
-  let t1 = now () in
-  let l =
-    Obs.span "factor" (fun () ->
+  let f, t_precond =
+    timed "factor" (fun () ->
         let gp = Sddm.Graph.permute g perm in
         let d = problem.Sddm.Problem.d in
         let dp = Array.init (Array.length perm) (fun k -> d.(perm.(k))) in
-        let rng = Rng.create seed in
-        Factor.Lt_rchol.factorize ~buckets ~rng gp ~d:dp)
+        factorize ~rng:(Rng.create seed) gp ~d:dp)
   in
-  let t2 = now () in
-  make_prepared ~solver_name:"powerrchol" problem
-    ~precond:(Krylov.Precond.of_factor ~name:"powerrchol" ~perm l)
-    ~t_reorder ~t_precond:(t2 -. t1) ~factor_nnz:(Factor.Lower.nnz l)
+  let l = lower f in
+  ( perm,
+    f,
+    make_prepared ~solver_name:name problem
+      ~precond:(Krylov.Precond.of_factor ~name ~perm l)
+      ~t_reorder ~t_precond ~factor_nnz:(Factor.Lower.nnz l) )
+
+let rand_chol_solver ~name ~ordering ~factorize ?(seed = default_seed) () =
+  let prepare problem =
+    let _, _, p =
+      prepare_rand_chol ~name ~order:(apply_ordering ordering) ~factorize
+        ~lower:Fun.id ~seed problem
+    in
+    p
+  in
+  { name; prepare }
+
+let rand_chol_custom ~name ~sort ~sampling ~ordering ?seed () =
+  rand_chol_solver ~name ~ordering
+    ~factorize:(Factor.Rand_chol.factorize ~sort ~sampling)
+    ?seed ()
+
+let rchol ?(ordering = Amd) ?seed () =
+  rand_chol_solver
+    ~name:(Printf.sprintf "rchol(%s)" (ordering_name ordering))
+    ~ordering ~factorize:Factor.Rchol.factorize ?seed ()
+
+let lt_rchol ?(ordering = Amd) ?(buckets = Factor.Lt_rchol.default_buckets)
+    ?seed () =
+  rand_chol_solver
+    ~name:(Printf.sprintf "lt-rchol(%s)" (ordering_name ordering))
+    ~ordering ~factorize:(Factor.Lt_rchol.factorize ~buckets) ?seed ()
+
+let default_heavy_factor = 10.0
+
+(* Partitioned = recursive bisection with Alg. 4 degree sort inside each
+   block: same local fill behavior as plain Alg. 4, but the elimination
+   tree gains independent branches so the multicore factorization has
+   subtrees to schedule (DESIGN.md §15). *)
+let powerrchol_prepare ?(buckets = Factor.Lt_rchol.default_buckets)
+    ?(heavy_factor = default_heavy_factor) ?(seed = default_seed) ?perm
+    problem =
+  let _, _, p =
+    prepare_rand_chol ~name:"powerrchol"
+      ~order:(Ordering.Partitioned.order ~heavy_factor)
+      ~factorize:(Factor.Lt_rchol.factorize ~buckets)
+      ~lower:Fun.id ?perm ~seed problem
+  in
+  p
 
 let powerrchol ?buckets ?heavy_factor ?seed () =
   {
@@ -295,28 +281,23 @@ let powerrchol ?buckets ?heavy_factor ?seed () =
 (* ---- feGRASS solvers ---- *)
 
 let fegrass_prepare ~name ~recover_fraction ~factorize problem =
-  let t0 = now () in
-  let sp, sparsifier_a =
-    Obs.span "factor" (fun () ->
+  let (sp, sparsifier_a), t_sparsify =
+    timed "factor" (fun () ->
         let sp =
           Fegrass.sparsify ~recover_fraction problem.Sddm.Problem.graph
         in
         (sp, Sddm.Graph.to_sddm sp.Fegrass.graph problem.Sddm.Problem.d))
   in
-  let t1 = now () in
   (* The sparsifier is near-tree; AMD keeps its exact factor sparse. The
      reordering time is charged to t_reorder like the paper's tables. *)
-  let perm = Obs.span "reorder" (fun () -> Ordering.Amd.order sp.Fegrass.graph) in
-  let t2 = now () in
-  let l =
-    Obs.span "factor" (fun () ->
+  let perm, t_reorder = reorder Ordering.Amd.order sp.Fegrass.graph in
+  let l, t_factor =
+    timed "factor" (fun () ->
         factorize (Sparse.Csc.permute_sym sparsifier_a perm))
   in
-  let t3 = now () in
   make_prepared ~solver_name:name problem
     ~precond:(Krylov.Precond.of_factor ~name:"fegrass" ~perm l)
-    ~t_reorder:(t2 -. t1)
-    ~t_precond:(t3 -. t2 +. (t1 -. t0))
+    ~t_reorder ~t_precond:(t_factor +. t_sparsify)
     ~factor_nnz:(Factor.Lower.nnz l)
 
 let fegrass ?(recover_fraction = 0.02) () =
@@ -339,15 +320,13 @@ let fegrass_ichol ?(recover_fraction = 0.5) ?(drop_tol = 8.5e-6) () =
 
 let amg_pcg ?(theta = 0.08) ?smoother () =
   let prepare problem =
-    let t0 = now () in
-    let hierarchy =
-      Obs.span "factor" (fun () ->
+    let hierarchy, t_precond =
+      timed "factor" (fun () ->
           Amg.build ~theta ?smoother problem.Sddm.Problem.a)
     in
-    let t1 = now () in
     let precond = Amg.preconditioner hierarchy in
     make_prepared ~solver_name:"amg-pcg" problem ~precond ~t_reorder:0.0
-      ~t_precond:(t1 -. t0) ~factor_nnz:precond.Krylov.Precond.nnz
+      ~t_precond ~factor_nnz:precond.Krylov.Precond.nnz
   in
   { name = "amg-pcg"; prepare }
 
@@ -355,31 +334,27 @@ let amg_pcg ?(theta = 0.08) ?smoother () =
 
 let direct () =
   let prepare problem =
-    let g = problem.Sddm.Problem.graph in
-    let t0 = now () in
-    let perm = Obs.span "reorder" (fun () -> Ordering.Amd.order g) in
-    let t1 = now () in
-    let l =
-      Obs.span "factor" (fun () ->
+    let perm, t_reorder =
+      reorder Ordering.Amd.order problem.Sddm.Problem.graph
+    in
+    let l, t_precond =
+      timed "factor" (fun () ->
           Factor.Chol.factorize
             (Sparse.Csc.permute_sym problem.Sddm.Problem.a perm))
     in
-    let t2 = now () in
     make_prepared ~solver_name:"direct" problem
       ~precond:(Krylov.Precond.of_factor ~name:"direct" ~perm l)
-      ~t_reorder:(t1 -. t0) ~t_precond:(t2 -. t1)
-      ~factor_nnz:(Factor.Lower.nnz l)
+      ~t_reorder ~t_precond ~factor_nnz:(Factor.Lower.nnz l)
   in
   { name = "direct"; prepare }
 
 let jacobi () =
   let prepare problem =
-    let t0 = now () in
-    let precond =
-      Obs.span "factor" (fun () -> Krylov.Precond.jacobi problem.Sddm.Problem.a)
+    let precond, t_precond =
+      timed "factor" (fun () -> Krylov.Precond.jacobi problem.Sddm.Problem.a)
     in
     make_prepared ~solver_name:"jacobi" problem ~precond ~t_reorder:0.0
-      ~t_precond:(now () -. t0) ~factor_nnz:precond.Krylov.Precond.nnz
+      ~t_precond ~factor_nnz:precond.Krylov.Precond.nnz
   in
   { name = "jacobi"; prepare }
 
@@ -402,20 +377,6 @@ and robust_outcome =
   | Robust_exhausted of { attempts : Robust.Fallback.attempt list }
 
 let robust_ok r = match r.outcome with Robust_solved _ -> true | _ -> false
-
-let rung_of_solver ?name ?deadline ~rtol ~max_iter solver =
-  {
-    Robust.Fallback.name =
-      (match name with Some n -> n | None -> solver.name);
-    solve =
-      (fun problem ->
-        let r = run ~rtol ~max_iter ?deadline solver problem in
-        {
-          Robust.Fallback.x = r.x;
-          iterations = r.iterations;
-          note = Krylov.Pcg.status_to_string r.status;
-        });
-  }
 
 let rung_of_prepared ?deadline ~name ~rtol ~max_iter prepare_fn =
   {
@@ -448,10 +409,10 @@ let robust_rungs ?(seed = default_seed) ?(retries = 2) ?deadline ~rtol
       Obs.count "robust/perm_reuse" 1;
       perm
     | _ ->
-      let perm =
-        Obs.span "reorder" (fun () ->
-            Ordering.Degree_sort.order ~heavy_factor:default_heavy_factor
-              problem.Sddm.Problem.graph)
+      let perm, _ =
+        reorder
+          (Ordering.Degree_sort.order ~heavy_factor:default_heavy_factor)
+          problem.Sddm.Problem.graph
       in
       memo := Some (problem, perm);
       perm
@@ -465,11 +426,11 @@ let robust_rungs ?(seed = default_seed) ?(retries = 2) ?deadline ~rtol
          powerrchol_rung
            ~name:(Printf.sprintf "powerrchol(reseed %d)" (i + 1))
            (reseed seed i))
-  @ [
-      rung_of_solver ?deadline ~rtol ~max_iter (rchol ~ordering:Amd ~seed ());
-      rung_of_solver ?deadline ~rtol ~max_iter (jacobi ());
-      rung_of_solver ?deadline ~rtol ~max_iter (direct ());
-    ]
+  @ List.map
+      (fun solver ->
+        rung_of_prepared ?deadline ~name:solver.name ~rtol ~max_iter
+          solver.prepare)
+      [ rchol ~ordering:Amd ~seed (); jacobi (); direct () ]
 
 let solve_robust ?(rtol = 1e-6) ?(max_iter = 500) ?(seed = default_seed)
     ?(retries = 2) ?deadline problem =

@@ -49,12 +49,10 @@ val prepare : t -> Sddm.Problem.t -> prepared
 (** [prepare solver problem] reorders and factorizes once, returning the
     reusable handle. Recorded under the Obs span ["prepare"]. *)
 
-val make_prepared :
-  solver_name:string -> Sddm.Problem.t -> precond:Krylov.Precond.t ->
-  t_reorder:float -> t_precond:float -> factor_nnz:int -> prepared
-(** Assemble a handle from its parts (fresh PCG workspace, preconditioner
-    size gauge recorded). The construction path shared by every solver's
-    [prepare] and by {!Engine}'s session layer. *)
+val timed : string -> (unit -> 'a) -> 'a * float
+(** [timed name f] runs [f] inside the {!Obs} span [name] and returns its
+    value with the elapsed {!Obs.now} seconds — the phase clock every
+    preparation (and {!Engine.Session.update}) reads its times from. *)
 
 val solve_prepared :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> ?x0:Sparse.Vec.t ->
@@ -97,6 +95,10 @@ val run :
 (** Prepare, iterate, time, and verify — the one-shot path. [rtol]
     defaults to 1e-6 and [max_iter] to 500, the paper's settings. *)
 
+val with_prepare_cost : prepared -> result -> result
+(** Full-cost semantics for a prepared solve: fold the handle's
+    [t_reorder]/[t_precond] back into the result and into [t_total]. *)
+
 val iterate :
   ?rtol:float -> ?max_iter:int -> ?deadline:float -> t -> prepared ->
   Sddm.Problem.t -> result
@@ -123,6 +125,20 @@ type ordering =
 
 val ordering_name : ordering -> string
 val apply_ordering : ordering -> Sddm.Graph.t -> Sparse.Perm.t
+
+val prepare_rand_chol :
+  name:string -> order:(Sddm.Graph.t -> Sparse.Perm.t) ->
+  factorize:(rng:Rng.t -> Sddm.Graph.t -> d:float array -> 'f) ->
+  lower:('f -> Factor.Lower.t) -> ?perm:Sparse.Perm.t -> seed:int ->
+  Sddm.Problem.t -> Sparse.Perm.t * 'f * prepared
+(** The one randomized-Cholesky preparation behind {!rchol},
+    {!lt_rchol}, {!rand_chol_custom}, {!powerrchol_prepare} and
+    {!Engine.Session}: reorder with [order] (span ["reorder"]; skipped
+    with [t_reorder = 0] when [perm] is given), permute graph and excess,
+    [Rng.create seed], [factorize] (span ["factor"]), and assemble the
+    handle from [lower f] under [name]. Returns the permutation and the
+    raw factorization with the handle, so a caller using an updatable
+    factorizer keeps its [updatable]. *)
 
 val powerrchol : ?buckets:int -> ?heavy_factor:float -> ?seed:int -> unit -> t
 (** The paper's solver: partitioned Alg. 4 reordering + LT-RChol (Alg. 3)
@@ -222,7 +238,9 @@ val robust_rungs :
     policies. The powerrchol rung and its reseed-and-retry rungs share one
     Alg. 4 permutation per problem (computed by whichever rung runs first,
     memoized by physical problem identity) — a reseed re-runs only the
-    randomized factorization. *)
+    randomized factorization. That permutation is plain Alg. 4
+    ([Ordering.Degree_sort]), so the rung named ["powerrchol"] orders
+    differently from {!powerrchol}, whose default is {!Partitioned}. *)
 
 val rung_of_prepared :
   ?deadline:float -> name:string -> rtol:float -> max_iter:int ->

@@ -36,7 +36,7 @@ let prepare ?(rtol = 1e-6) ?(seed = Solver.default_seed)
   if h <= 0.0 then invalid_arg "Transient.prepare: nonpositive step";
   if Array.length circuit.Powergrid.Generate.caps = 0 then
     invalid_arg "Transient.prepare: circuit has no capacitance";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let dc =
     Powergrid.Generate.circuit_to_problem ~name:"transient-dc" circuit
   in
@@ -63,7 +63,7 @@ let prepare ?(rtol = 1e-6) ?(seed = Solver.default_seed)
     cap_over_h;
     b_dc = dc.Sddm.Problem.b;
     h;
-    t_prepare = Unix.gettimeofday () -. t0;
+    t_prepare = Obs.now () -. t0;
     rtol;
   }
 
@@ -100,7 +100,7 @@ let simulate t ~steps ~waveform =
   let total_iterations = ref 0 in
   let peak_drop = ref 0.0 in
   let peak_time = ref 0.0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   for k = 1 to steps do
     let time = float_of_int k *. t.h in
     let scale = waveform time in
@@ -139,7 +139,7 @@ let simulate t ~steps ~waveform =
     peak_time = !peak_time;
     total_iterations = !total_iterations;
     t_prepare = t.t_prepare;
-    t_march = Unix.gettimeofday () -. t0;
+    t_march = Obs.now () -. t0;
   }
 
 module Waveform = struct

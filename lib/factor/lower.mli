@@ -110,14 +110,11 @@ val apply_preconditioner :
     available; sequential otherwise. Raises [Invalid_argument] on length
     mismatches. *)
 
-val col_nnz : t -> int -> int
-(** Stored entries of one column (diagonal included). *)
-
 val refactor_columns :
   t -> cols:int array -> emit:(int -> Sparse.Vec.t -> unit) -> unit
 (** [refactor_columns l ~cols ~emit] overwrites the stored {e values} of
     each listed column in place, keeping the pattern: for each column [j]
-    of [cols] in order, [emit j buf] must fill [buf.(0 .. col_nnz - 1)]
+    of [cols] in order, [emit j buf] must fill one slot per stored entry of [j]
     with the new values in stored order (diagonal first, strictly
     positive — checked). A column's storage is updated before the next
     column's [emit] runs, so [emit] may read already-refactored columns.

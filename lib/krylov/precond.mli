@@ -44,5 +44,5 @@ val of_factor : ?name:string -> perm:Sparse.Perm.t -> Factor.Lower.t -> t
 val of_apply :
   name:string -> nnz:int -> (Sparse.Vec.t -> Sparse.Vec.t -> unit) -> t
 (** Wrap an arbitrary application function (used by the AMG V-cycle and
-    the Schwarz preconditioner); the wrapped function manages its own
-    state, so [scratch_len = 0]. *)
+    the session layer's Woodbury correction); the wrapped function
+    manages its own state, so [scratch_len = 0]. *)

@@ -8,12 +8,6 @@
 
 type kind = Via_removal | Pad_relocation | Wire_strengthen | Load_shift
 
-let kind_name = function
-  | Via_removal -> "via-removal"
-  | Pad_relocation -> "pad-relocation"
-  | Wire_strengthen -> "wire-strengthen"
-  | Load_shift -> "load-shift"
-
 let all_kinds = [ Via_removal; Pad_relocation; Wire_strengthen; Load_shift ]
 
 type scenario = {

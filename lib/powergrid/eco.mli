@@ -24,8 +24,6 @@ type kind =
       (** move one load current to another load site — a pure
           right-hand-side edit *)
 
-val kind_name : kind -> string
-
 val all_kinds : kind list
 (** The default round-robin: via removal, pad relocation, wire
     strengthening, load shift, repeating. *)

@@ -136,13 +136,6 @@ type response =
   | Failed of { reason : string }
   | Bye
 
-let response_ok = function
-  | Solved { converged; _ } -> converged
-  | Updated { converged; _ } -> converged
-  | Diagnosed { fatal; _ } -> not fatal
-  | Health_report _ | Pong | Bye -> true
-  | Rejected _ | Timed_out _ | Failed _ -> false
-
 (* ---- JSON codecs ----
 
    Encoding is straightforward; decoding is defensive: every field access

@@ -145,10 +145,6 @@ type response =
       (** the work was attempted and ended in a typed failure *)
   | Bye  (** acknowledgment of [Shutdown] *)
 
-val response_ok : response -> bool
-(** True for [Solved] with [converged], [Diagnosed] without fatal issues,
-    [Health_report], [Pong], and [Bye]. *)
-
 (** {1 JSON codecs} *)
 
 val request_to_json : request -> Obs.Json.t

@@ -134,21 +134,6 @@ let run ?(rtol = 1e-6) ?deadline ~rungs problem =
   in
   go [] rungs
 
-let trace_to_string o =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun a ->
-      Buffer.add_string buf
-        (Printf.sprintf "failed %s: %s; " a.rung (failure_to_string a.failure)))
-    o.attempts;
-  (match o.winner with
-   | Some w ->
-     Buffer.add_string buf
-       (Printf.sprintf "recovered by %s: %d iterations, residual %.6e (%s)" w
-          o.iterations o.residual o.note)
-   | None -> Buffer.add_string buf "exhausted: no rung produced a verified solution");
-  Buffer.contents buf
-
 let pp fmt o =
   Format.fprintf fmt "@[<v>";
   List.iter

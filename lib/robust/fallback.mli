@@ -67,9 +67,4 @@ val succeeded : outcome -> bool
 
 val failure_to_string : failure -> string
 
-val trace_to_string : outcome -> string
-(** Single-line deterministic rendering of the full trace (every failed
-    rung with its reason, then the winner or exhaustion); byte-identical
-    across runs with the same seed. *)
-
 val pp : Format.formatter -> outcome -> unit

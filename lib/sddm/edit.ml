@@ -171,7 +171,6 @@ let of_problem (p : Problem.t) =
   st
 
 let problem st = st.problem
-let fresh_problem st = rebuild_problem st
 let generation st = st.generation
 
 let rebuild st =

@@ -57,22 +57,18 @@ val problem : state -> Problem.t
     is replaced wholesale on pattern growth — re-read after any apply
     that returned {!Pattern_grew}. *)
 
-val fresh_problem : state -> Problem.t
-(** Rebuild the problem from scratch (fresh graph and matrix, zero-weight
-    edges dropped) — exactly what a from-scratch preparation of the
-    edited system sees. Deterministic: two states that received the same
-    edit sequence produce bit-identical problems. *)
-
 val generation : state -> int
 (** Bumped every time the pattern is rebuilt; consumers caching anything
     derived from the matrix pattern must compare generations. *)
 
 val rebuild : state -> Problem.t
-(** Like {!fresh_problem}, but the state {e adopts} the rebuilt problem as
-    its current one (and bumps the generation): subsequent value-only
-    edits patch the returned matrix in place. Used by the full re-prepare
-    fallback, whose factorization must see the rebuilt graph while later
-    edits must keep reaching the matrix it solves against. *)
+(** Rebuild the problem from scratch (fresh graph and matrix, zero-weight
+    edges dropped) — exactly what a from-scratch preparation of the
+    edited system sees — and {e adopt} it as the state's current one (and
+    bump the generation): subsequent value-only edits patch the returned
+    matrix in place. Used by the full re-prepare fallback, whose
+    factorization must see the rebuilt graph while later edits must keep
+    reaching the matrix it solves against. *)
 
 type change =
   | No_change  (** the edit was a no-op (value already there) *)

@@ -532,139 +532,82 @@ let run_admitted t ~t_recv ~req_id ~deadline f =
 
 (* ---- metrics ---- *)
 
-(* One rolling window projected to JSON; runs under [lock]. *)
-let window_json t ~now ~label ~span_s =
-  let open Obs.Json in
+(* One rolling window of the Health view; runs under [lock]. *)
+let window t ~now ~label ~span_s =
   let requests = Obs.Window.sum ~now t.w_requests ~span_s in
   let fallbacks = Obs.Window.sum ~now t.w_fallbacks ~span_s in
-  let errors = Obs.Window.sum ~now t.w_errors ~span_s in
-  Obj
-    [
-      ("label", Str label);
-      ("span_s", Float span_s);
-      ("requests", Float requests);
-      ("req_s", Float (Obs.Window.rate ~now t.w_requests ~span_s));
-      ("fallbacks", Float fallbacks);
-      ( "fallback_rate",
-        Float (if requests > 0.0 then fallbacks /. requests else 0.0) );
-      ("errors", Float errors);
-      ( "latency_s",
-        Obs.Hist.to_json (Obs.Window.merged ~now t.w_latency ~span_s) );
-    ]
+  {
+    Health.label;
+    span_s;
+    requests;
+    req_s = Obs.Window.rate ~now t.w_requests ~span_s;
+    fallbacks;
+    fallback_rate = (if requests > 0.0 then fallbacks /. requests else 0.0);
+    errors = Obs.Window.sum ~now t.w_errors ~span_s;
+    latency = Some (Obs.Window.merged ~now t.w_latency ~span_s);
+  }
 
-let metrics t =
-  let open Obs.Json in
-  let lat, qw, snapshot, windows, fallback =
-    locked t (fun () ->
-        let s = t.stats in
-        let now = Obs.now () in
-        ( Obs.Hist.copy t.latency,
-          Obs.Hist.copy t.queue_wait,
-          ( (s.accepted_conns, s.rejected_conns, t.active_conns),
-            ( s.requests,
-              s.solved,
-              s.unconverged,
-              s.updated,
-              s.diagnosed,
-              s.failed,
-              s.timed_out ),
-            (s.shed, s.rejected, s.bad_request, s.io_errors),
-            (t.inflight, Hashtbl.length t.sessions) ),
-          List
-            [
-              window_json t ~now ~label:"1m" ~span_s:60.0;
-              window_json t ~now ~label:"5m" ~span_s:300.0;
-              window_json t ~now ~label:"15m" ~span_s:900.0;
-            ],
-          Obj
-            [
-              ("engaged", Int t.fb_engaged);
-              ("escalations", Int t.fb_escalations);
-              ( "last_rung",
-                if t.fb_last_rung = "" then Null else Str t.fb_last_rung );
-              ( "last_residual",
-                if Float.is_finite t.fb_last_residual then
-                  Float t.fb_last_residual
-                else Null );
-              ( "rungs",
-                Obj
-                  (List.rev_map
-                     (fun rung ->
-                       (rung, Int (Hashtbl.find t.fb_rungs rung)))
-                     t.fb_rung_order) );
-            ] ))
-  in
-  let ( (accepted_conns, rejected_conns, active_conns),
-        (requests, solved, unconverged, updated, diagnosed, failed, timed_out),
-        (shed, rejected, bad_request, io_errors),
-        (inflight, open_sessions) ) =
-    snapshot
-  in
+let health t =
   let hits = Powerrchol.Engine.hits () in
   let misses = Powerrchol.Engine.misses () in
-  Obj
-    [
-      (* v2 = the exact v1 field set (paths and types unchanged, so v1
-         consumers keep parsing their subset) + windows + fallback *)
-      ("schema", Str "pgserve-metrics/v2");
-      ("uptime_s", Float (Obs.now () -. t.started));
-      ( "connections",
-        Obj
+  let evictions = Powerrchol.Engine.evictions () in
+  let live_handles = Powerrchol.Engine.live_handles () in
+  locked t (fun () ->
+      let s = t.stats in
+      let now = Obs.now () in
+      {
+        Health.schema = Health.schema_v2;
+        uptime_s = now -. t.started;
+        conns_accepted = s.accepted_conns;
+        conns_active = t.active_conns;
+        conns_rejected = s.rejected_conns;
+        requests_total = s.requests;
+        solved = s.solved;
+        unconverged = s.unconverged;
+        updated = s.updated;
+        diagnosed = s.diagnosed;
+        failed = s.failed;
+        timed_out = s.timed_out;
+        shed = s.shed;
+        rejected = s.rejected;
+        bad_request = s.bad_request;
+        io_errors = s.io_errors;
+        queue_capacity = t.config.queue_capacity;
+        inflight = t.inflight;
+        engine_hits = hits;
+        engine_misses = misses;
+        engine_hit_rate =
+          (if hits + misses = 0 then 0.0
+           else float_of_int hits /. float_of_int (hits + misses));
+        engine_evictions = evictions;
+        engine_live_handles = live_handles;
+        sessions_open = Hashtbl.length t.sessions;
+        sessions_capacity = t.config.max_sessions;
+        latency = Some (Obs.Hist.copy t.latency);
+        queue_wait = Some (Obs.Hist.copy t.queue_wait);
+        windows =
           [
-            ("accepted", Int accepted_conns);
-            ("active", Int active_conns);
-            ("rejected", Int rejected_conns);
-          ] );
-      ( "requests",
-        Obj
-          [
-            ("total", Int requests);
-            ("solved", Int solved);
-            ("unconverged", Int unconverged);
-            ("updated", Int updated);
-            ("diagnosed", Int diagnosed);
-            ("failed", Int failed);
-            ("timed_out", Int timed_out);
-            ("shed", Int shed);
-            ("rejected", Int rejected);
-            ("bad_request", Int bad_request);
-            ("io_errors", Int io_errors);
-          ] );
-      ( "queue",
-        Obj
-          [
-            ("capacity", Int t.config.queue_capacity);
-            ("inflight", Int inflight);
-          ] );
-      ( "engine",
-        Obj
-          [
-            ("hits", Int hits);
-            ("misses", Int misses);
-            ( "hit_rate",
-              Float
-                (if hits + misses = 0 then 0.0
-                 else float_of_int hits /. float_of_int (hits + misses)) );
-            ("evictions", Int (Powerrchol.Engine.evictions ()));
-            ("live_handles", Int (Powerrchol.Engine.live_handles ()));
-          ] );
-      ( "sessions",
-        Obj
-          [
-            ("open", Int open_sessions);
-            ("capacity", Int t.config.max_sessions);
-            ("updates", Int updated);
-          ] );
-      ("latency_s", Obs.Hist.to_json lat);
-      ("queue_wait_s", Obs.Hist.to_json qw);
-      ("windows", windows);
-      ("fallback", fallback);
-    ]
+            window t ~now ~label:"1m" ~span_s:60.0;
+            window t ~now ~label:"5m" ~span_s:300.0;
+            window t ~now ~label:"15m" ~span_s:900.0;
+          ];
+        fallback_engaged = t.fb_engaged;
+        fallback_escalations = t.fb_escalations;
+        fallback_last_rung =
+          (if t.fb_last_rung = "" then None else Some t.fb_last_rung);
+        fallback_last_residual =
+          (if Float.is_finite t.fb_last_residual then
+             Some t.fb_last_residual
+           else None);
+        fallback_rungs =
+          List.rev_map
+            (fun rung -> (rung, Hashtbl.find t.fb_rungs rung))
+            t.fb_rung_order;
+      })
 
-let metrics_text t =
-  match Health.to_prom (metrics t) with
-  | Ok text -> text
-  | Error e -> Printf.sprintf "# render error: %s\n" e
+let metrics t = Health.to_json (health t)
+
+let metrics_text t = Health.render_prom (health t)
 
 (* ---- metrics listener (plain HTTP 1.0, GET /metrics only) ---- *)
 

@@ -108,7 +108,7 @@ val stop : t -> unit
 (** {!request_stop} then {!wait}, then release the listening sockets and
     close the access log. *)
 
-val metrics : t -> Obs.Json.t
+val health : t -> Health.view
 (** Snapshot of the daemon's counters: connections
     (accepted/active/rejected), request outcomes
     (solved/updated/failed/timed_out/shed/bad_request/io_errors), Engine
@@ -117,10 +117,13 @@ val metrics : t -> Obs.Json.t
     queue-wait latency histograms (with derived p50/p95/p99), uptime,
     rolling 1m/5m/15m windows (req/s, fallback rate, errors, windowed
     latency), and the fallback block (engagements, escalations, per-rung
-    win counts, last winning rung and residual). Schema
-    [pgserve-metrics/v2]; the v1 field set is an unchanged subset (see
-    {!Health}). *)
+    win counts, last winning rung and residual). *)
+
+val metrics : t -> Obs.Json.t
+(** {!health} as the Health report document ({!Health.to_json}, schema
+    [pgserve-metrics/v2]; the v1 field set is an unchanged subset). *)
 
 val metrics_text : t -> string
-(** {!metrics} rendered as Prometheus text format 0.0.4 — the same body
-    the metrics listener serves on [GET /metrics]. *)
+(** {!health} rendered as Prometheus text format 0.0.4
+    ({!Health.render_prom}) — the same body the metrics listener serves
+    on [GET /metrics]. *)

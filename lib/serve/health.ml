@@ -1,13 +1,15 @@
 (* Typed view of the pgserve Health report (wire schema
-   pgserve-metrics/v2), its parser, and the Prometheus projection.
+   pgserve-metrics/v2): its only writer, its parser, and the Prometheus
+   projection.
 
-   The daemon emits the JSON document (Daemon.metrics); this module is
-   the consumer half, shared by pgclient, pgtop, and the tests: parse a
-   v1 or v2 document into a [view] (v1 documents simply have no windows
-   and no fallback block), and project either onto Prometheus text
-   format 0.0.4 via Obs.Prom. Keeping the v1 field set byte-compatible
-   inside the v2 document is a wire contract: a v1 consumer reading the
-   v2 report sees exactly the fields it always did. *)
+   The daemon snapshots its counters into a [view] (Daemon.health);
+   [to_json] is the one place the wire document is written, and
+   [of_json] parses a v1 or v2 document back (v1 documents simply have
+   no windows and no fallback block) for pgclient, pgtop and the tests.
+   Either side projects onto Prometheus text format 0.0.4 via Obs.Prom.
+   Keeping the v1 field set byte-compatible inside the v2 document is a
+   wire contract: a v1 consumer reading the v2 report sees exactly the
+   fields it always did. *)
 
 module J = Obs.Json
 
@@ -47,6 +49,8 @@ type view = {
   engine_hits : int;
   engine_misses : int;
   engine_hit_rate : float;
+  engine_evictions : int;
+  engine_live_handles : int;
   sessions_open : int;
   sessions_capacity : int;
   latency : Obs.Hist.t option;
@@ -142,6 +146,8 @@ let of_json doc =
           engine_hits = int_at "hits" engine;
           engine_misses = int_at "misses" engine;
           engine_hit_rate = float_at "hit_rate" engine;
+          engine_evictions = int_at "evictions" engine;
+          engine_live_handles = int_at "live_handles" engine;
           sessions_open = int_at "open" sessions;
           sessions_capacity = int_at "capacity" sessions;
           latency = hist_at "latency_s" doc;
@@ -155,6 +161,101 @@ let of_json doc =
           fallback_rungs;
         })
   | _ -> Error "health report is not an object"
+
+(* An absent histogram leaves its field out; [hist_at] reads that back
+   as [None]. *)
+let hist_field name = function
+  | Some h -> [ (name, Obs.Hist.to_json h) ]
+  | None -> []
+
+let window_to_json w =
+  J.Obj
+    ([
+       ("label", J.Str w.label);
+       ("span_s", J.Float w.span_s);
+       ("requests", J.Float w.requests);
+       ("req_s", J.Float w.req_s);
+       ("fallbacks", J.Float w.fallbacks);
+       ("fallback_rate", J.Float w.fallback_rate);
+       ("errors", J.Float w.errors);
+     ]
+    @ hist_field "latency_s" w.latency)
+
+let to_json v =
+  J.Obj
+    ([
+       (* v2 = the exact v1 field set (paths and types unchanged, so v1
+          consumers keep parsing their subset) + windows + fallback *)
+       ("schema", J.Str v.schema);
+       ("uptime_s", J.Float v.uptime_s);
+       ( "connections",
+         J.Obj
+           [
+             ("accepted", J.Int v.conns_accepted);
+             ("active", J.Int v.conns_active);
+             ("rejected", J.Int v.conns_rejected);
+           ] );
+       ( "requests",
+         J.Obj
+           [
+             ("total", J.Int v.requests_total);
+             ("solved", J.Int v.solved);
+             ("unconverged", J.Int v.unconverged);
+             ("updated", J.Int v.updated);
+             ("diagnosed", J.Int v.diagnosed);
+             ("failed", J.Int v.failed);
+             ("timed_out", J.Int v.timed_out);
+             ("shed", J.Int v.shed);
+             ("rejected", J.Int v.rejected);
+             ("bad_request", J.Int v.bad_request);
+             ("io_errors", J.Int v.io_errors);
+           ] );
+       ( "queue",
+         J.Obj
+           [
+             ("capacity", J.Int v.queue_capacity);
+             ("inflight", J.Int v.inflight);
+           ] );
+       ( "engine",
+         J.Obj
+           [
+             ("hits", J.Int v.engine_hits);
+             ("misses", J.Int v.engine_misses);
+             ("hit_rate", J.Float v.engine_hit_rate);
+             ("evictions", J.Int v.engine_evictions);
+             ("live_handles", J.Int v.engine_live_handles);
+           ] );
+       ( "sessions",
+         J.Obj
+           [
+             ("open", J.Int v.sessions_open);
+             ("capacity", J.Int v.sessions_capacity);
+             ("updates", J.Int v.updated);
+           ] );
+     ]
+    @ hist_field "latency_s" v.latency
+    @ hist_field "queue_wait_s" v.queue_wait
+    @ [
+        ("windows", J.List (List.map window_to_json v.windows));
+        ( "fallback",
+          J.Obj
+            [
+              ("engaged", J.Int v.fallback_engaged);
+              ("escalations", J.Int v.fallback_escalations);
+              ( "last_rung",
+                match v.fallback_last_rung with
+                | Some r -> J.Str r
+                | None -> J.Null );
+              ( "last_residual",
+                match v.fallback_last_residual with
+                | Some r -> J.Float r
+                | None -> J.Null );
+              ( "rungs",
+                J.Obj
+                  (List.map (fun (rung, wins) -> (rung, J.Int wins))
+                     v.fallback_rungs) );
+            ] );
+      ])
 
 (* ---- Prometheus projection ---- *)
 
@@ -284,7 +385,6 @@ let prom_metrics v =
   in
   base @ residual @ rungs @ hists @ windows
 
-let to_prom doc =
-  match of_json doc with
-  | Error _ as e -> e
-  | Ok v -> Ok (Obs.Prom.render (prom_metrics v))
+let render_prom v = Obs.Prom.render (prom_metrics v)
+
+let to_prom doc = Result.map render_prom (of_json doc)

@@ -1,6 +1,7 @@
-(** Consumer half of the pgserve Health surface: parse a
-    [pgserve-metrics/v1] or [pgserve-metrics/v2] report into a typed
-    {!view}, and project it onto Prometheus text format 0.0.4.
+(** The pgserve Health surface: the typed {!view} of a daemon snapshot,
+    its one wire writer ({!to_json}, schema [pgserve-metrics/v2]), the
+    parser for [pgserve-metrics/v1] and [pgserve-metrics/v2] reports, and
+    the projection onto Prometheus text format 0.0.4.
 
     The v2 document is a strict superset of v1: every v1 field keeps
     its path and type, and v2 adds rolling windows
@@ -46,6 +47,8 @@ type view = {
   engine_hits : int;
   engine_misses : int;
   engine_hit_rate : float;
+  engine_evictions : int;
+  engine_live_handles : int;
   sessions_open : int;
   sessions_capacity : int;
   latency : Obs.Hist.t option;  (** lifetime service-time histogram *)
@@ -59,10 +62,19 @@ type view = {
       (** wins per rung name (robust-chain winners and ECO update rungs) *)
 }
 
+val to_json : view -> Obs.Json.t
+(** The Health report document — the only writer of the wire schema.
+    The schema tag is [v.schema]; an absent histogram is left out of the
+    document and an absent last rung or residual is written [null], so
+    [of_json (to_json v) = Ok v] for every view with finite floats. *)
+
 val of_json : Obs.Json.t -> (view, string) result
 (** Parse a Health report. Missing optional sections default to zero /
     empty; an unknown schema tag or a non-object document is an error. *)
 
+val render_prom : view -> string
+(** Render a view as Prometheus text format 0.0.4 (the text the daemon
+    serves on its [/metrics] listener). *)
+
 val to_prom : Obs.Json.t -> (string, string) result
-(** Render a Health report as Prometheus text format 0.0.4 (the same
-    text the daemon serves on its [/metrics] listener). *)
+(** {!of_json} then {!render_prom}. *)

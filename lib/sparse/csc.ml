@@ -216,11 +216,6 @@ let spmv_sym_into a x y =
   if n < spmv_sym_min || not (Par.runs_parallel pool) then body 0 n
   else Par.parallel_for pool ~lo:0 ~hi:n body
 
-let spmv_sym a x =
-  let y = Vec.create a.n_rows in
-  spmv_sym_into a x y;
-  y
-
 let spmv_t a x =
   assert (Vec.length x = a.n_rows);
   let y = Vec.create a.n_cols in

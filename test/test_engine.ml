@@ -372,6 +372,33 @@ let test_session_full_rung_bit_identical () =
     r.Solver.iterations;
   Session.close s
 
+let test_pipeline_bit_identical () =
+  (* the session, the generic LT-RChol solver under the partitioned
+     ordering, and the paper's preparation run one pipeline: same factor,
+     same iterations, bitwise-equal solutions *)
+  Engine.clear ();
+  let p = grid_problem ~nx:16 ~ny:16 ~seed:8505 () in
+  let s = Session.create p in
+  Alcotest.(check int) "session at version 0" 0 (Session.version s);
+  let reference = Solver.powerrchol_prepare p in
+  let ref_r = Solver.solve_prepared reference in
+  let check name (prepared : Solver.prepared) (r : Solver.result) =
+    Alcotest.(check int)
+      (name ^ ": same factor nnz")
+      reference.Solver.factor_nnz prepared.Solver.factor_nnz;
+    Alcotest.(check int)
+      (name ^ ": same iterations")
+      ref_r.Solver.iterations r.Solver.iterations;
+    Alcotest.(check bool) (name ^ ": bitwise-equal x") true
+      (r.Solver.x = ref_r.Solver.x)
+  in
+  check "session" (Session.prepared s) (Session.solve s);
+  let lt =
+    Solver.prepare (Solver.lt_rchol ~ordering:Solver.Partitioned ()) p
+  in
+  check "lt_rchol(part)" lt (Solver.solve_prepared lt);
+  Session.close s
+
 let test_session_edit_storm_stays_correct () =
   Engine.clear ();
   let spec = Powergrid.Generate.default ~nx:20 ~ny:20 ~seed:8505 in
@@ -487,6 +514,8 @@ let () =
             test_session_low_rank_rung;
           Alcotest.test_case "full rung bit-identical" `Quick
             test_session_full_rung_bit_identical;
+          Alcotest.test_case "one pipeline, bit-identical preparations"
+            `Quick test_pipeline_bit_identical;
           Alcotest.test_case "edit storm stays correct" `Quick
             test_session_edit_storm_stays_correct;
           Alcotest.test_case "cache versioning" `Quick

@@ -746,6 +746,22 @@ let test_profiled_breakdown_matches_result () =
     (float_of_int r.Powerrchol.Solver.iterations)
     (counter record "pcg/iterations")
 
+let test_randomized_solvers_share_span_tree () =
+  (* rchol, lt_rchol and powerrchol prepare through one pipeline, so each
+     profile names its factorization under "factor" the same way *)
+  let problem = grid_problem () in
+  List.iter
+    (fun (solver, factor_span) ->
+      let _, record = Powerrchol.Solver.run_profiled solver problem in
+      List.iter
+        (fun path -> ignore (find_span record path))
+        [ "reorder"; "factor"; "factor/" ^ factor_span; "pcg" ])
+    [
+      (Powerrchol.Solver.rchol (), "rchol");
+      (Powerrchol.Solver.lt_rchol (), "lt_rchol");
+      (Powerrchol.Solver.powerrchol (), "lt_rchol");
+    ]
+
 let test_robust_profiled_counts_escalations () =
   (* On a healthy input the profiled robust path must report a solved
      outcome and no fallback-rung escalations. *)
@@ -838,5 +854,7 @@ let () =
             test_profiled_breakdown_matches_result;
           Alcotest.test_case "robust profiled solve" `Quick
             test_robust_profiled_counts_escalations;
+          Alcotest.test_case "randomized solvers share the span tree" `Quick
+            test_randomized_solvers_share_span_tree;
         ] );
     ]

@@ -282,19 +282,6 @@ let test_pcg_deadline_mid_loop () =
     Alcotest.failf "wanted Timed_out/Converged, got %s"
       (Krylov.Pcg.status_to_string s)
 
-let test_minres_deadline () =
-  let a = Csc.of_dense [| [| 4.0; -1.0 |]; [| -1.0; 3.0 |] |] in
-  let res =
-    Krylov.Minres.solve ~deadline:(Obs.now () -. 1.0) ~a ~b:(Test_util.vec [| 1.0; 2.0 |])
-      ~precond:(Krylov.Precond.identity 2) ()
-  in
-  match res.Krylov.Minres.status with
-  | Krylov.Minres.Timed_out { iteration } ->
-    Alcotest.(check int) "cancelled before iterating" 0 iteration
-  | s ->
-    Alcotest.failf "wanted Timed_out, got %s"
-      (Krylov.Minres.status_to_string s)
-
 let test_fallback_deadline_skips_rungs () =
   let p = Test_util.random_problem ~seed:613 ~n:30 ~m:80 in
   let ran = ref 0 in
@@ -898,9 +885,18 @@ let test_health_v2_typed_view () =
          | _ -> Alcotest.fail "v1 field requests.solved changed shape")
        | None -> Alcotest.fail "v1 requests object missing from v2 doc");
       (* and the daemon-side Prometheus rendering validates *)
-      match Obs.Prom.validate (Serve.Daemon.metrics_text t) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "metrics_text failed validation: %s" e)
+      (match Obs.Prom.validate (Serve.Daemon.metrics_text t) with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "metrics_text failed validation: %s" e);
+      (* /metrics renders the view directly; that text must equal the
+         projection of the view's own wire document *)
+      let view = Serve.Daemon.health t in
+      Alcotest.(check (result string string))
+        "prom text from the view = to_prom of its document"
+        (Ok (Serve.Health.render_prom view))
+        (Serve.Health.to_prom (Serve.Health.to_json view));
+      Alcotest.(check bool) "live view round-trips through its document" true
+        (Serve.Health.of_json (Serve.Health.to_json view) = Ok view))
 
 let test_health_v1_doc_still_parses () =
   (* a hand-built v1 report (no windows, no fallback block) must parse
@@ -927,6 +923,104 @@ let test_health_v1_doc_still_parses () =
       v.Serve.Health.fallback_engaged;
     Alcotest.(check (list (pair string int))) "no rung wins" []
       v.Serve.Health.fallback_rungs
+
+(* Random Health views: absent and empty histograms, empty window lists,
+   absent last rung / residual and empty rung tables all occur. Floats
+   stay finite: the wire has no encoding for NaN. *)
+let gen_health_view =
+  let open QCheck.Gen in
+  let num = float_range 0.0 1e6 in
+  let count = int_bound 100_000 in
+  let hist =
+    opt
+      (map
+         (fun samples ->
+           let h = Obs.Hist.create () in
+           List.iter (Obs.Hist.add h) samples;
+           h)
+         (list_size (int_bound 20) (float_range 1e-6 10.0)))
+  in
+  let window =
+    map
+      (fun ((label, span_s, requests, req_s), (fallbacks, errors, latency)) ->
+        {
+          Serve.Health.label;
+          span_s;
+          requests;
+          req_s;
+          fallbacks;
+          fallback_rate = fallbacks /. Float.max 1.0 requests;
+          errors;
+          latency;
+        })
+      (pair
+         (quad (oneofl [ "1m"; "5m"; "15m" ]) num num num)
+         (triple num num hist))
+  in
+  let rung = pair (oneofl [ "powerrchol"; "jacobi"; "local"; "full" ]) count in
+  let ints k = list_repeat k count in
+  map
+    (fun ( (schema, uptime_s, ints, hit_rate),
+           (latency, queue_wait, windows),
+           (last_rung, last_residual, rungs) ) ->
+      let i k = List.nth ints k in
+      {
+        Serve.Health.schema;
+        uptime_s;
+        conns_accepted = i 0;
+        conns_active = i 1;
+        conns_rejected = i 2;
+        requests_total = i 3;
+        solved = i 4;
+        unconverged = i 5;
+        updated = i 6;
+        diagnosed = i 7;
+        failed = i 8;
+        timed_out = i 9;
+        shed = i 10;
+        rejected = i 11;
+        bad_request = i 12;
+        io_errors = i 13;
+        queue_capacity = i 14;
+        inflight = i 15;
+        engine_hits = i 16;
+        engine_misses = i 17;
+        engine_hit_rate = hit_rate;
+        engine_evictions = i 18;
+        engine_live_handles = i 19;
+        sessions_open = i 20;
+        sessions_capacity = i 21;
+        latency;
+        queue_wait;
+        windows;
+        fallback_engaged = i 22;
+        fallback_escalations = i 23;
+        fallback_last_rung = last_rung;
+        fallback_last_residual = last_residual;
+        fallback_rungs = rungs;
+      })
+    (triple
+       (quad
+          (oneofl [ Serve.Health.schema_v1; Serve.Health.schema_v2 ])
+          num (ints 24) (float_range 0.0 1.0))
+       (triple hist hist (list_size (int_bound 3) window))
+       (triple
+          (opt (oneofl [ "powerrchol"; "rchol(amd)"; "direct" ]))
+          (opt (float_range 0.0 1e-3))
+          (list_size (int_bound 4) rung)))
+
+let prop_health_round_trip =
+  QCheck.Test.make ~name:"health of_json inverts to_json" ~count:200
+    (QCheck.make
+       ~print:(fun v ->
+         Obs.Json.to_string (Serve.Health.to_json v))
+       gen_health_view)
+    (fun v ->
+      let doc = Serve.Health.to_json v in
+      Serve.Health.of_json doc = Ok v
+      && Result.bind (Obs.Json.parse (Obs.Json.to_string doc))
+           Serve.Health.of_json
+         = Ok v)
 
 let with_access_log_daemon ?max_bytes f =
   let log =
@@ -1203,8 +1297,6 @@ let () =
           Alcotest.test_case "pcg expired deadline" `Quick test_pcg_deadline;
           Alcotest.test_case "pcg mid-loop cancellation" `Quick
             test_pcg_deadline_mid_loop;
-          Alcotest.test_case "minres expired deadline" `Quick
-            test_minres_deadline;
           Alcotest.test_case "fallback skips rungs" `Quick
             test_fallback_deadline_skips_rungs;
         ] );
@@ -1253,5 +1345,6 @@ let () =
             test_access_log_ids_match_spans;
           Alcotest.test_case "metrics HTTP listener" `Quick
             test_metrics_http_listener;
-        ] );
+        ]
+        @ Test_util.qcheck [ prop_health_round_trip ] );
     ]

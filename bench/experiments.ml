@@ -339,18 +339,15 @@ let fig3 () =
       printf "\n")
     all;
   hr 110;
-  (* the trailing PowerRChol-factor columns isolate the numeric phase
-     (factorization seconds per Mnnz) that the parallel scheduler speeds
-     up, next to the end-to-end totals; the -par leg is only measured by
-     the dedicated factor phase (Factor_bench), so it stays empty on the
-     sweep rows *)
+  (* the trailing PowerRChol-factor column isolates the numeric phase
+     (factorization seconds per Mnnz) next to the end-to-end totals *)
   with_csv "fig3_seconds_per_mnnz.csv" (fun oc ->
-      Printf.fprintf oc "case,nnz%s,PowerRChol-factor,PowerRChol-factor-par\n"
+      Printf.fprintf oc "case,nnz%s,PowerRChol-factor\n"
         (String.concat ""
            (List.map (fun id -> "," ^ solver_name id) solvers));
       List.iter
         (fun (id, nnz, row, factor_per) ->
-          Printf.fprintf oc "%s,%d%s,%.6f,\n" id nnz
+          Printf.fprintf oc "%s,%d%s,%.6f\n" id nnz
             (String.concat ""
                (List.map (fun t -> Printf.sprintf ",%.6f" t) row))
             factor_per)
@@ -691,14 +688,13 @@ let scale () =
   printf "peak RSS: %d kB (%.2f kB per node)\n" peak_kb
     (float_of_int peak_kb /. float_of_int n);
   (* fig3's CSV carries five solver columns plus the PowerRChol
-     factorization-seconds columns; only PowerRChol runs at this scale,
-     the baseline columns stay empty, and the multi-domain factor leg is
-     the factor phase's to fill *)
+     factorization-seconds column; only PowerRChol runs at this scale, so
+     the baseline columns stay empty *)
   let factor_per = r.Powerrchol.Solver.t_precond /. mnnz in
   Runner.append_csv "fig3_seconds_per_mnnz.csv"
     ~header:Runner.fig3_csv_header
     [
-      Printf.sprintf "%s,%d,,,,,%.6f,%.6f," case.Powergrid.Suite.id nnz per
+      Printf.sprintf "%s,%d,,,,,%.6f,%.6f" case.Powergrid.Suite.id nnz per
         factor_per;
     ];
   record_memory

@@ -176,10 +176,9 @@ let record_memory doc = memory_section := Some doc
 let edits_section : Obs.Json.t option ref = ref None
 let record_edits doc = edits_section := Some doc
 
-(* The factor experiment's parallel-numeric-phase summary (sequential vs
-   parallel factorization time, bitwise identity, speedup) — the
-   bench.json "factor" section; compare.exe holds identity always and the
-   speedup floor when the run was wide enough to gate. *)
+(* The factor experiment's summary (grid size, factor nnz, best-of-reps
+   factorization time) — the bench.json "factor" section; recorded, not
+   gated. *)
 let factor_section : Obs.Json.t option ref = ref None
 let record_factor doc = factor_section := Some doc
 
@@ -266,7 +265,7 @@ let with_csv name f =
    phase's paper-scale factorization row). *)
 let fig3_csv_header =
   "case,nnz,feGRASS,feGRASS-IChol,AMG-PCG,RChol(AMD),PowerRChol,\
-   PowerRChol-factor,PowerRChol-factor-par"
+   PowerRChol-factor"
 
 (* Append rows to an artifact CSV, creating it with [header] first when
    absent (the scale experiment extends fig3's sweep without rerunning

@@ -257,9 +257,9 @@ let lt_rchol ?(ordering = Amd) ?(buckets = Factor.Lt_rchol.default_buckets)
 let default_heavy_factor = 10.0
 
 (* Partitioned = recursive bisection with Alg. 4 degree sort inside each
-   block: same local fill behavior as plain Alg. 4, but the elimination
-   tree gains independent branches so the multicore factorization has
-   subtrees to schedule (DESIGN.md §15). *)
+   block: same local fill behavior as plain Alg. 4. It stays the default
+   because the benchmark's replay reproduces this ordering (DESIGN.md
+   §15). *)
 let powerrchol_prepare ?(buckets = Factor.Lt_rchol.default_buckets)
     ?(heavy_factor = default_heavy_factor) ?(seed = default_seed) ?perm
     problem =

@@ -76,13 +76,10 @@ let rec quicksort_by idx key lo hi =
 
 (* ------------------------------------------------------------------ *)
 
-(* One workspace per pool slot: every array here is written only by the
-   domain that owns the slot, including the stamp counter and the keyed
-   per-column generator (reseeded from [(base_key, column)] before each
-   column's draws, so the sampled bits never depend on which slot runs the
-   column). The telemetry accumulators are summed across slots at the end —
-   the counts are per-column facts, so their sum is domain-count
-   independent. *)
+(* Scratch for one elimination sweep. [wval]/[wmark] are indexed by
+   vertex; the short arrays hold one column's neighbors and grow to the
+   largest column seen. [krng] is the per-column keyed generator, reseeded
+   from [(base_key, column)] before each column's draws. *)
 type workspace = {
   mutable nbrs : int array;        (* gathered unique neighbors *)
   mutable sorted : int array;      (* counting-sort output *)
@@ -95,11 +92,6 @@ type workspace = {
   mutable bucket_stamp : int array;
   mutable stamp : int;
   krng : Rng.t;
-  mutable t_sort : float;
-  mutable n_sort : int;
-  mutable t_merge : float;
-  mutable n_merge : int;
-  mutable sampled : int;
 }
 
 let make_workspace n =
@@ -115,11 +107,6 @@ let make_workspace n =
     bucket_stamp = Array.make 16 0;
     stamp = 0;
     krng = Rng.keyed ~seed:0 0;
-    t_sort = 0.0;
-    n_sort = 0;
-    t_merge = 0.0;
-    n_merge = 0;
-    sampled = 0;
   }
 
 let ensure_capacity ws m =
@@ -234,150 +221,70 @@ let make_recorder n =
     r_fill_len = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel elimination scheduling (DESIGN.md §15).
 
-   The columns are partitioned by [Etree.cut] into independent subtree
-   units plus an upward-closed separator. Every edge the elimination can
-   ever see — original or sampled fill — joins a node to an etree ancestor
-   (rchol fill is contained in exact Cholesky fill), so an edge either
-   stays inside one unit or crosses from a unit into the separator; two
-   distinct units never interact. Units therefore eliminate concurrently;
-   their cross-boundary effects (fill edges and excess-diagonal bumps into
-   separator columns) are buffered per unit and replayed in unit order at
-   the barrier, after which the separator eliminates level by level over
-   its internal etree (same-level columns are etree-unrelated, hence
-   independent).
-
-   Canonical arithmetic, identical at every domain count:
-   - the partition and level schedule depend only on the graph;
-   - each column's random draws come from a keyed stream reseeded from
-     [(base_key, column)], never from a shared cursor;
-   - boundary effects apply in a fixed order (unit-major at the barrier,
-     source-ascending within a separator level), and a sequentially
-     processed level applies effects in exactly that order, so the staged
-     and inline paths produce the same bits. *)
-
-(* Per-group output: factor columns (diagonal first) and, when recording,
-   the per-column fill-slot runs, appended in elimination order. *)
-type group_out = {
-  mutable g_rows : int array;
-  mutable g_vals : float array;
-  mutable g_len : int;
-  mutable g_ra : int array;
-  mutable g_rb : int array;
-  mutable g_rw : float array;
-  mutable g_rlen : int;
-}
-
-let make_group_out cap =
-  {
-    g_rows = Array.make (max cap 4) 0;
-    g_vals = Array.make (max cap 4) 0.0;
-    g_len = 0;
-    g_ra = empty_ints;
-    g_rb = empty_ints;
-    g_rw = empty_floats;
-    g_rlen = 0;
-  }
-
-let group_push_row o i v =
-  if o.g_len = Array.length o.g_rows then begin
-    let cap = max (2 * o.g_len) 4 in
-    let r = Array.make cap 0 and x = Array.make cap 0.0 in
-    Array.blit o.g_rows 0 r 0 o.g_len;
-    Array.blit o.g_vals 0 x 0 o.g_len;
-    o.g_rows <- r;
-    o.g_vals <- x
-  end;
-  o.g_rows.(o.g_len) <- i;
-  o.g_vals.(o.g_len) <- v;
-  o.g_len <- o.g_len + 1
-
-let group_push_rec o a b w =
-  if o.g_rlen = Array.length o.g_ra then begin
-    let cap = max (2 * o.g_rlen) 16 in
-    let ga = Array.make cap 0 and gb = Array.make cap 0 in
-    let gw = Array.make cap 0.0 in
-    Array.blit o.g_ra 0 ga 0 o.g_rlen;
-    Array.blit o.g_rb 0 gb 0 o.g_rlen;
-    Array.blit o.g_rw 0 gw 0 o.g_rlen;
-    o.g_ra <- ga;
-    o.g_rb <- gb;
-    o.g_rw <- gw
-  end;
-  o.g_ra.(o.g_rlen) <- a;
-  o.g_rb.(o.g_rlen) <- b;
-  o.g_rw.(o.g_rlen) <- w;
-  o.g_rlen <- o.g_rlen + 1
-
-(* Buffered cross-boundary effects of one unit (or one staged separator
-   column): sampled fill edges and excess-diagonal bumps whose target lies
-   outside the producing group. *)
-type effects = {
-  mutable e_fa : int array;
-  mutable e_fb : int array;
-  mutable e_fw : float array;
-  mutable e_flen : int;
-  mutable e_di : int array;
-  mutable e_dx : float array;
-  mutable e_dlen : int;
-}
-
-let make_effects () =
-  {
-    e_fa = empty_ints;
-    e_fb = empty_ints;
-    e_fw = empty_floats;
-    e_flen = 0;
-    e_di = empty_ints;
-    e_dx = empty_floats;
-    e_dlen = 0;
-  }
-
-let effects_push_fill e a b w =
-  if e.e_flen = Array.length e.e_fa then begin
-    let cap = max (2 * e.e_flen) 16 in
+let recorder_push r a b w =
+  if r.r_fill_len = Array.length r.r_fill_a then begin
+    let cap = 2 * r.r_fill_len in
     let fa = Array.make cap 0 and fb = Array.make cap 0 in
     let fw = Array.make cap 0.0 in
-    Array.blit e.e_fa 0 fa 0 e.e_flen;
-    Array.blit e.e_fb 0 fb 0 e.e_flen;
-    Array.blit e.e_fw 0 fw 0 e.e_flen;
-    e.e_fa <- fa;
-    e.e_fb <- fb;
-    e.e_fw <- fw
+    Array.blit r.r_fill_a 0 fa 0 r.r_fill_len;
+    Array.blit r.r_fill_b 0 fb 0 r.r_fill_len;
+    Array.blit r.r_fill_w 0 fw 0 r.r_fill_len;
+    r.r_fill_a <- fa;
+    r.r_fill_b <- fb;
+    r.r_fill_w <- fw
   end;
-  e.e_fa.(e.e_flen) <- a;
-  e.e_fb.(e.e_flen) <- b;
-  e.e_fw.(e.e_flen) <- w;
-  e.e_flen <- e.e_flen + 1
+  r.r_fill_a.(r.r_fill_len) <- a;
+  r.r_fill_b.(r.r_fill_len) <- b;
+  r.r_fill_w.(r.r_fill_len) <- w;
+  r.r_fill_len <- r.r_fill_len + 1
 
-let effects_push_dvec e i x =
-  if e.e_dlen = Array.length e.e_di then begin
-    let cap = max (2 * e.e_dlen) 16 in
-    let di = Array.make cap 0 in
-    let dx = Array.make cap 0.0 in
-    Array.blit e.e_di 0 di 0 e.e_dlen;
-    Array.blit e.e_dx 0 dx 0 e.e_dlen;
-    e.e_di <- di;
-    e.e_dx <- dx
-  end;
-  e.e_di.(e.e_dlen) <- i;
-  e.e_dx.(e.e_dlen) <- x;
-  e.e_dlen <- e.e_dlen + 1
+(* ------------------------------------------------------------------ *)
+(* The factor's row and value storage, filled column after column. The
+   sweep eliminates in ascending index order, so column [k] starts at the
+   current length and no assembly pass is needed; the buffers grow by half
+   when a column does not fit, and the factor is handed the filled prefix
+   as zero-copy views. *)
 
-(* Unit cap as a fraction of total column weight. 1/32 keeps the measured
-   separator under ~6% on partitioned grid orderings (33 units on a
-   500x500 grid) while leaving units coarse enough to amortize scheduling.
-   Fixed — never derived from the domain count — so the partition is
-   machine-independent. *)
-let cut_cap_fraction = 1.0 /. 32.0
+type builder = {
+  mutable b_rows : Sparse.Idx.t;
+  mutable b_vals : Sparse.Vec.t;
+  mutable b_len : int;
+}
 
-(* Separator levels thinner than this eliminate inline: the staged path
-   costs one buffer copy per column, which only pays for itself when a
-   level is wide enough to fan out. Either path produces identical bits,
-   so this threshold affects speed only. *)
-let sep_level_min = 64
+let builder_reserve b extra =
+  let need = b.b_len + extra in
+  let cap = Sparse.Idx.length b.b_rows in
+  if need > cap then begin
+    let cap = max need (cap + (cap / 2)) in
+    let rows = Sparse.Idx.make cap and vals = Sparse.Vec.create cap in
+    Sparse.Idx.blit
+      ~src:(Sparse.Idx.sub b.b_rows 0 b.b_len)
+      ~dst:(Sparse.Idx.sub rows 0 b.b_len);
+    Sparse.Vec.blit
+      ~src:(Sparse.Vec.sub_view b.b_vals 0 b.b_len)
+      ~dst:(Sparse.Vec.sub_view vals 0 b.b_len);
+    b.b_rows <- rows;
+    b.b_vals <- vals
+  end
+
+let builder_push b i v =
+  Sparse.Idx.unsafe_set b.b_rows b.b_len i;
+  Sparse.Vec.unsafe_set b.b_vals b.b_len v;
+  b.b_len <- b.b_len + 1
+
+(* ------------------------------------------------------------------ *)
+(* The elimination sweep (DESIGN.md §15): columns k = 0 … n-1 in index
+   order, which is the order the caller's reordering chose. Every edge
+   joins a column to a higher-numbered one, so eliminating [k] only ever
+   writes into columns not yet eliminated: its factor column is appended
+   to the output, its excess-diagonal bumps and sampled fill edges land
+   straight in the pending columns, and when recording its fill slots are
+   appended to the recorder in the same column order.
+
+   Each column's random draws come from a private stream keyed by
+   [(one draw from ~rng, column index)], so the factor is a pure function
+   of the input and the seed, whatever pool the process runs. *)
 
 (* [g] must already be coalesced (both external entry points guarantee
    it); the recorder's edge indices refer to the coalesced edge order. *)
@@ -389,43 +296,6 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
      the caller-visible [~rng] contract is unchanged while draw order
      inside the factorization stops mattering. *)
   let base_key = Rng.derive_key rng in
-  (* --- partition: subtree units + separator, from the A-graph etree --- *)
-  let cut =
-    Obs.span "partition" @@ fun () ->
-    let parent = Etree.of_graph g in
-    let degs = Sddm.Graph.degrees g in
-    let weight = Array.init n (fun v -> 1.0 +. float_of_int degs.(v)) in
-    Etree.cut ~parent ~weight ~cap_fraction:cut_cap_fraction
-  in
-  let n_units = cut.Etree.n_units in
-  let unit_of = cut.Etree.unit_of in
-  (* --- separator level schedule over the etree --- *)
-  let sep = cut.Etree.sep_cols in
-  let n_sep = Array.length sep in
-  let lvl_of = Array.make (max n 1) 0 in
-  let n_sep_levels = ref 0 in
-  Array.iter
-    (fun v ->
-      let p = cut.Etree.c_parent.(v) in
-      if p >= 0 && lvl_of.(p) <= lvl_of.(v) then lvl_of.(p) <- lvl_of.(v) + 1;
-      if lvl_of.(v) + 1 > !n_sep_levels then n_sep_levels := lvl_of.(v) + 1)
-    sep;
-  let n_sep_levels = if n_sep = 0 then 0 else !n_sep_levels in
-  let sep_lvl_ptr = Array.make (n_sep_levels + 1) 0 in
-  Array.iter
-    (fun v -> sep_lvl_ptr.(lvl_of.(v) + 1) <- sep_lvl_ptr.(lvl_of.(v) + 1) + 1)
-    sep;
-  for l = 1 to n_sep_levels do
-    sep_lvl_ptr.(l) <- sep_lvl_ptr.(l) + sep_lvl_ptr.(l - 1)
-  done;
-  let sep_order = Array.make (max n_sep 1) 0 in
-  let cursor = Array.copy sep_lvl_ptr in
-  (* ascending sweep keeps each level's columns ascending *)
-  Array.iter
-    (fun v ->
-      sep_order.(cursor.(lvl_of.(v))) <- v;
-      cursor.(lvl_of.(v)) <- cursor.(lvl_of.(v)) + 1)
-    sep;
   (* --- initial per-column edge lists --- *)
   let init_count = Array.make n 0 in
   Sddm.Graph.iter_edges g (fun u v _ ->
@@ -442,34 +312,19 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       let a = min u v and b = max u v in
       column_push cols.(a) b w);
   let dvec = Array.copy d in
-  (* --- per-group outputs and per-slot workspaces --- *)
-  let pool = Par.default () in
-  let n_slots = Par.domains pool in
-  let wss = Array.make (max n_slots 1) None in
-  let ws_for slot =
-    match wss.(slot) with
-    | Some w -> w
-    | None ->
-      let w = make_workspace n in
-      wss.(slot) <- Some w;
-      w
+  let ws = make_workspace n in
+  (* room for the diagonal, the input edges and fill of three edges per
+     input edge; power-grid factors measure about two, so they never
+     regrow *)
+  let cap = max 16 (n + (4 * Sddm.Graph.n_edges g)) in
+  let out =
+    { b_rows = Sparse.Idx.make cap; b_vals = Sparse.Vec.create cap; b_len = 0 }
   in
-  let unit_out =
-    Array.init n_units (fun u ->
-        let ncols = cut.Etree.unit_ptr.(u + 1) - cut.Etree.unit_ptr.(u) in
-        make_group_out ((4 * ncols) + 16))
-  in
-  let sep_out = make_group_out ((4 * n_sep) + 16) in
-  let unit_eff = Array.init n_units (fun _ -> make_effects ()) in
-  let recording = record <> None in
-  let col_len = Array.make (max n 1) 0 in
-  let col_start = Array.make (max n 1) 0 in
-  let rec_start = if recording then Array.make (max n 1) 0 else empty_ints in
-  (* --- the per-column elimination, shared by every phase ---
-     [out] receives the column's factor entries and record slots; effects
-     targeting a column [i] with [direct i] false go to [eff] instead of
-     being applied. *)
-  let eliminate ws k ~out ~direct ~eff =
+  let col_ptr = Sparse.Idx.make (n + 1) in
+  let t_sort = ref 0.0 and n_sort = ref 0 in
+  let t_merge = ref 0.0 and n_merge = ref 0 in
+  let sampled = ref 0 in
+  for k = 0 to n - 1 do
     let c = cols.(k) in
     (* ---- gather and coalesce the live neighbors of k ---- *)
     ws.stamp <- ws.stamp + 1;
@@ -505,7 +360,8 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
     (match record with
      | Some r ->
        r.r_d_elim.(k) <- d_k;
-       r.r_d_exc.(k) <- dvec.(k)
+       r.r_d_exc.(k) <- dvec.(k);
+       r.r_fill_ptr.(k) <- r.r_fill_len
      | None -> ());
     (* ---- sort neighbors by weight (ascending) ---- *)
     let st0 = if obs then Obs.now () else 0.0 in
@@ -519,18 +375,17 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
        if m > 1 && m <= 16 then quicksort_by ws.nbrs ws.wval 0 (m - 1)
        else if m > 1 then counting_sort ws ~buckets ~m ~stamp:tag);
     if obs && m > 1 then begin
-      ws.t_sort <- ws.t_sort +. (Obs.now () -. st0);
-      ws.n_sort <- ws.n_sort + 1
+      t_sort := !t_sort +. (Obs.now () -. st0);
+      incr n_sort
     end;
     (* ---- emit column k of L ---- *)
-    col_start.(k) <- out.g_len;
-    col_len.(k) <- m + 1;
-    if recording then rec_start.(k) <- out.g_rlen;
+    Sparse.Idx.set col_ptr k out.b_len;
+    builder_reserve out (m + 1);
     let sqrt_dk = sqrt d_k in
-    group_push_row out k sqrt_dk;
+    builder_push out k sqrt_dk;
     for q = 0 to m - 1 do
       let i = ws.nbrs.(q) in
-      group_push_row out i (-.ws.wval.(i) /. sqrt_dk)
+      builder_push out i (-.ws.wval.(i) /. sqrt_dk)
     done;
     if m > 0 then begin
       (* ---- excess-diagonal update ----
@@ -543,9 +398,7 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
       let d_excess_k = dvec.(k) in
       for q = 0 to m - 1 do
         let i = ws.nbrs.(q) in
-        let bump = d_excess_k *. ws.wval.(i) /. d_k in
-        if direct i then dvec.(i) <- dvec.(i) +. bump
-        else effects_push_dvec eff i bump
+        dvec.(i) <- dvec.(i) +. (d_excess_k *. ws.wval.(i) /. d_k)
       done;
       if m > 1 then begin
         (* ---- prefix sums ---- *)
@@ -582,8 +435,8 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
            Locate.locate_into ~a:ws.pfs ~a_len:m ~targets:ws.targets
              ~t_len:(m - 1) ~out:ws.locs);
         if obs then begin
-          ws.t_merge <- ws.t_merge +. (Obs.now () -. mt0);
-          ws.n_merge <- ws.n_merge + 1
+          t_merge := !t_merge +. (Obs.now () -. mt0);
+          incr n_merge
         end;
         (* ---- add the sampled fill edges ---- *)
         for j = 0 to m - 2 do
@@ -595,191 +448,31 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
           let n_l = ws.nbrs.(lj) in
           let s_j = total -. ws.pfs.(j) in
           let w_new = s_j *. ws.wval.(n_j) /. d_k in
-          if w_new > 0.0 && n_j <> n_l then begin
-            let a = min n_j n_l and b = max n_j n_l in
-            if direct a then column_push cols.(a) b w_new
-            else effects_push_fill eff a b w_new;
-            ws.sampled <- ws.sampled + 1;
-            if recording then group_push_rec out a b w_new
-          end
-          else if recording then group_push_rec out (-1) 0 0.0
+          let kept = w_new > 0.0 && n_j <> n_l in
+          let a = min n_j n_l and b = max n_j n_l in
+          if kept then begin
+            column_push cols.(a) b w_new;
+            incr sampled
+          end;
+          match record with
+          | Some r ->
+            if kept then recorder_push r a b w_new
+            else recorder_push r (-1) 0 0.0
+          | None -> ()
         done
       end
     end
-  in
-  (* --- phase 1: units, in parallel over the pool --- *)
-  (Obs.span "units" @@ fun () ->
-   Par.parallel_for_weighted pool
-     ~weight:(fun u -> cut.Etree.unit_weight.(u))
-     ~lo:0 ~hi:n_units
-     (fun slot ulo uhi ->
-       let ws = ws_for slot in
-       for u = ulo to uhi - 1 do
-         let t0 = if obs then Obs.now () else 0.0 in
-         let out = unit_out.(u) and eff = unit_eff.(u) in
-         let direct i = unit_of.(i) = u in
-         for q = cut.Etree.unit_ptr.(u) to cut.Etree.unit_ptr.(u + 1) - 1 do
-           eliminate ws cut.Etree.unit_cols.(q) ~out ~direct ~eff
-         done;
-         if obs then Obs.observe "unit_s" (Obs.now () -. t0)
-       done));
-  (* --- barrier: replay cross-boundary effects, unit-major --- *)
-  for u = 0 to n_units - 1 do
-    let eff = unit_eff.(u) in
-    for q = 0 to eff.e_flen - 1 do
-      column_push cols.(eff.e_fa.(q)) eff.e_fb.(q) eff.e_fw.(q)
-    done;
-    for q = 0 to eff.e_dlen - 1 do
-      dvec.(eff.e_di.(q)) <- dvec.(eff.e_di.(q)) +. eff.e_dx.(q)
-    done;
-    eff.e_fa <- empty_ints;
-    eff.e_fb <- empty_ints;
-    eff.e_fw <- empty_floats;
-    eff.e_flen <- 0;
-    eff.e_di <- empty_ints;
-    eff.e_dx <- empty_floats;
-    eff.e_dlen <- 0
   done;
-  (* --- phase 2: separator, level by level --- *)
-  (Obs.span "sep" @@ fun () ->
-   let always_direct _ = true in
-   let never_direct _ = false in
-   let dummy_eff = make_effects () in
-   let stage_out = ref [||] in
-   let stage_eff = ref [||] in
-   for lvl = 0 to n_sep_levels - 1 do
-     let llo = sep_lvl_ptr.(lvl) and lhi = sep_lvl_ptr.(lvl + 1) in
-     let width = lhi - llo in
-     if width >= sep_level_min && Par.runs_parallel pool then begin
-       (* wide level: stage each column's output and effects privately,
-          then replay in ascending column order — bit-identical to the
-          inline path (same-level columns never interact). *)
-       if Array.length !stage_out < width then begin
-         let old_o = !stage_out and old_e = !stage_eff in
-         let keep = Array.length old_o in
-         stage_out :=
-           Array.init width (fun i ->
-               if i < keep then old_o.(i) else make_group_out 16);
-         stage_eff :=
-           Array.init width (fun i ->
-               if i < keep then old_e.(i) else make_effects ())
-       end;
-       let stage_out = !stage_out and stage_eff = !stage_eff in
-       Par.parallel_for_weighted pool
-         ~weight:(fun pos -> 1.0 +. float_of_int cols.(sep_order.(pos)).len)
-         ~lo:llo ~hi:lhi
-         (fun slot plo phi ->
-           let ws = ws_for slot in
-           for pos = plo to phi - 1 do
-             let st = stage_out.(pos - llo) and ste = stage_eff.(pos - llo) in
-             st.g_len <- 0;
-             st.g_rlen <- 0;
-             eliminate ws sep_order.(pos) ~out:st ~direct:never_direct
-               ~eff:ste
-           done);
-       for pos = llo to lhi - 1 do
-         let k = sep_order.(pos) in
-         let st = stage_out.(pos - llo) and ste = stage_eff.(pos - llo) in
-         col_start.(k) <- sep_out.g_len;
-         for q = 0 to st.g_len - 1 do
-           group_push_row sep_out st.g_rows.(q) st.g_vals.(q)
-         done;
-         if recording then begin
-           rec_start.(k) <- sep_out.g_rlen;
-           for q = 0 to st.g_rlen - 1 do
-             group_push_rec sep_out st.g_ra.(q) st.g_rb.(q) st.g_rw.(q)
-           done
-         end;
-         for q = 0 to ste.e_flen - 1 do
-           column_push cols.(ste.e_fa.(q)) ste.e_fb.(q) ste.e_fw.(q)
-         done;
-         for q = 0 to ste.e_dlen - 1 do
-           dvec.(ste.e_di.(q)) <- dvec.(ste.e_di.(q)) +. ste.e_dx.(q)
-         done;
-         ste.e_flen <- 0;
-         ste.e_dlen <- 0
-       done
-     end
-     else begin
-       let ws = ws_for 0 in
-       for pos = llo to lhi - 1 do
-         eliminate ws sep_order.(pos) ~out:sep_out ~direct:always_direct
-           ~eff:dummy_eff
-       done
-     end
-   done);
-  (* --- assembly: concatenate group outputs in column order --- *)
+  let total = out.b_len in
+  Sparse.Idx.check_index_capacity ~what:"Rand_chol.factorize" total;
+  Sparse.Idx.set col_ptr n total;
+  (match record with Some r -> r.r_fill_ptr.(n) <- r.r_fill_len | None -> ());
   let l =
-    Obs.span "assemble" @@ fun () ->
-    let col_ptr = Sparse.Idx.make (n + 1) in
-    let total = ref 0 in
-    for k = 0 to n - 1 do
-      Sparse.Idx.set col_ptr k !total;
-      total := !total + col_len.(k)
-    done;
-    Sparse.Idx.set col_ptr n !total;
-    let total = !total in
-    Sparse.Idx.check_index_capacity ~what:"Rand_chol.factorize" total;
-    let l_rows = Sparse.Idx.make (max total 1) in
-    let l_vals = Sparse.Vec.create (max total 1) in
-    Par.parallel_for pool ~min_work:8192 ~lo:0 ~hi:n (fun klo khi ->
-        for k = klo to khi - 1 do
-          let out = if unit_of.(k) >= 0 then unit_out.(unit_of.(k)) else sep_out in
-          let src = col_start.(k) in
-          let dst = Sparse.Idx.get col_ptr k in
-          for j = 0 to col_len.(k) - 1 do
-            Sparse.Idx.set l_rows (dst + j) out.g_rows.(src + j);
-            Sparse.Vec.set l_vals (dst + j) out.g_vals.(src + j)
-          done
-        done);
-    (* recorder: slot runs live in the group buffers; lay them out in
-       ascending column order (column k owns max (m_k - 1) 0 slots) *)
-    (match record with
-     | Some r ->
-       let slots = ref 0 in
-       for k = 0 to n - 1 do
-         r.r_fill_ptr.(k) <- !slots;
-         slots := !slots + max (col_len.(k) - 2) 0
-       done;
-       r.r_fill_ptr.(n) <- !slots;
-       let slots = !slots in
-       let ra = Array.make (max slots 1) 0 in
-       let rb = Array.make (max slots 1) 0 in
-       let rw = Array.make (max slots 1) 0.0 in
-       for k = 0 to n - 1 do
-         let cnt = max (col_len.(k) - 2) 0 in
-         if cnt > 0 then begin
-           let out = if unit_of.(k) >= 0 then unit_out.(unit_of.(k)) else sep_out in
-           let src = rec_start.(k) and dst = r.r_fill_ptr.(k) in
-           Array.blit out.g_ra src ra dst cnt;
-           Array.blit out.g_rb src rb dst cnt;
-           Array.blit out.g_rw src rw dst cnt
-         end
-       done;
-       r.r_fill_a <- ra;
-       r.r_fill_b <- rb;
-       r.r_fill_w <- rw;
-       r.r_fill_len <- slots
-     | None -> ());
-    (Lower.of_raw ~n ~col_ptr ~rows:l_rows ~vals:l_vals, total)
+    Lower.of_raw ~n ~col_ptr
+      ~rows:(Sparse.Idx.sub out.b_rows 0 (max total 1))
+      ~vals:(Sparse.Vec.sub_view out.b_vals 0 (max total 1))
   in
-  let l, total = l in
   if obs then begin
-    (* per-slot sub-phase accumulators flush as aggregate spans; the sums
-       are domain-count-independent because every column runs exactly once *)
-    let t_sort = ref 0.0 and n_sort = ref 0 in
-    let t_merge = ref 0.0 and n_merge = ref 0 in
-    let sampled = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some ws ->
-          t_sort := !t_sort +. ws.t_sort;
-          n_sort := !n_sort + ws.n_sort;
-          t_merge := !t_merge +. ws.t_merge;
-          n_merge := !n_merge + ws.n_merge;
-          sampled := !sampled + ws.sampled)
-      wss;
     Obs.record_span "sort" ~seconds:!t_sort ~calls:!n_sort;
     Obs.record_span "merge" ~seconds:!t_merge ~calls:!n_merge;
     Obs.count "sampled_edges" !sampled;
@@ -787,15 +480,12 @@ let factorize_gen ~sort ~sampling ~rng ~record g ~d =
        the same capture overwrites instead of summing *)
     Obs.gauge "factor_nnz" (float_of_int total);
     Obs.gauge "fill_nnz"
-      (float_of_int (max 0 (total - n - Sddm.Graph.n_edges g)));
-    Obs.gauge "factor_units" (float_of_int n_units);
-    Obs.gauge "factor_sep_cols" (float_of_int n_sep);
-    Obs.gauge "factor_sep_levels" (float_of_int n_sep_levels)
+      (float_of_int (max 0 (total - n - Sddm.Graph.n_edges g)))
   end;
-  (l, cut)
+  l
 
 let factorize ~sort ~sampling ~rng g ~d =
-  fst (factorize_gen ~sort ~sampling ~rng ~record:None (Sddm.Graph.coalesce g) ~d)
+  factorize_gen ~sort ~sampling ~rng ~record:None (Sddm.Graph.coalesce g) ~d
 
 (* ------------------------------------------------------------------ *)
 (* Updatable factorizations: fixed-pattern value-only re-elimination.
@@ -843,33 +533,23 @@ type updatable = {
   u_ft_ptr : int array;  (* n+1: live fill slots grouped by target column *)
   u_ft_idx : int array;
   u_parent : int array;  (* etree of the factor: min subdiagonal row *)
-  (* subtree partition of the original factorization: unit id per column
-     (-1 = separator) — groups a refactor closure into independent unit
-     batches for the parallel re-elimination path *)
-  u_unit_of : int array;
-  u_n_units : int;
   (* dirty seed columns since the last successful refactor *)
   mutable u_dirty : int list;
   (* scratch *)
   u_mark : int array;
   mutable u_stamp : int;
-  (* per-slot gather scratch for the (possibly parallel) re-elimination;
-     slot 0 doubles as the sequential path's scratch *)
-  mutable u_scratch : uscratch option array;
-}
-
-and uscratch = {
-  s_wval : float array;
-  s_wmark : int array;
-  mutable s_wstamp : int;
-  mutable s_pfs : float array;  (* prefix sums over one column's pattern *)
+  (* gather scratch for the re-elimination *)
+  u_wval : float array;
+  u_wmark : int array;
+  mutable u_wstamp : int;
+  mutable u_pfs : float array;  (* prefix sums over one column's pattern *)
 }
 
 let factorize_updatable ~sort ~sampling ~rng g ~d =
   let g = Sddm.Graph.coalesce g in
   let n = Sddm.Graph.n_vertices g in
   let r = make_recorder n in
-  let l, cut = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
+  let l = factorize_gen ~sort ~sampling ~rng ~record:(Some r) g ~d in
   (* base incidence and the edge index, in coalesced edge order *)
   let m = Sddm.Graph.n_edges g in
   let ews = Array.make (max m 1) 0.0 in
@@ -944,33 +624,14 @@ let factorize_updatable ~sort ~sampling ~rng g ~d =
     u_ft_ptr = ft_ptr;
     u_ft_idx = ft_idx;
     u_parent = parent;
-    u_unit_of = cut.Etree.unit_of;
-    u_n_units = cut.Etree.n_units;
     u_dirty = [];
     u_mark = Array.make n (-1);
     u_stamp = 0;
-    u_scratch = [||];
+    u_wval = Array.make n 0.0;
+    u_wmark = Array.make n (-1);
+    u_wstamp = 0;
+    u_pfs = Array.make 16 0.0;
   }
-
-let uscratch_for u slot =
-  if slot >= Array.length u.u_scratch then begin
-    let bigger = Array.make (slot + 1) None in
-    Array.blit u.u_scratch 0 bigger 0 (Array.length u.u_scratch);
-    u.u_scratch <- bigger
-  end;
-  match u.u_scratch.(slot) with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        s_wval = Array.make u.u_n 0.0;
-        s_wmark = Array.make u.u_n (-1);
-        s_wstamp = 0;
-        s_pfs = Array.make 16 0.0;
-      }
-    in
-    u.u_scratch.(slot) <- Some s;
-    s
 
 let factor u = u.u_l
 let parent u = u.u_parent
@@ -998,11 +659,6 @@ let set_excess u i s =
 type refactor_outcome =
   | Refactored of { columns : int }
   | Too_large of { limit : int }
-
-(* Closure size below which the refactor always runs the sequential
-   sweep: grouping and fan-out cost more than re-eliminating a few
-   hundred columns in place. Either path produces identical bits. *)
-let par_refactor_min = 512
 
 (* The exact closure sweep: extend the seed marking through the factor's
    column patterns in one ascending pass (column k's values feed every
@@ -1056,18 +712,17 @@ let refactor u ~max_fraction =
       else begin
         let cols = Array.sub !scols 0 !count in
         let sched = Lower.schedule l in
-        let emit slot kc buf =
-          let sc = uscratch_for u slot in
+        let emit kc buf =
           let lo = col_ptr.%(kc) and hi = col_ptr.%(kc + 1) in
           let m = hi - lo - 1 in
           (* gather current neighbor weights over the frozen pattern *)
-          sc.s_wstamp <- sc.s_wstamp + 1;
-          let wtag = sc.s_wstamp in
+          u.u_wstamp <- u.u_wstamp + 1;
+          let wtag = u.u_wstamp in
           let touch i w =
-            if sc.s_wmark.(i) = wtag then sc.s_wval.(i) <- sc.s_wval.(i) +. w
+            if u.u_wmark.(i) = wtag then u.u_wval.(i) <- u.u_wval.(i) +. w
             else begin
-              sc.s_wmark.(i) <- wtag;
-              sc.s_wval.(i) <- w
+              u.u_wmark.(i) <- wtag;
+              u.u_wval.(i) <- w
             end
           in
           for q = u.u_base_ptr.(kc) to u.u_base_ptr.(kc + 1) - 1 do
@@ -1096,13 +751,13 @@ let refactor u ~max_fraction =
           let d_k = ref dvec in
           for q = lo + 1 to hi - 1 do
             let i = rows.%(q) in
-            if sc.s_wmark.(i) <> wtag then begin
+            if u.u_wmark.(i) <> wtag then begin
               (* a frozen-pattern neighbor whose every contributing edge
                  now has zero weight still occupies its slot *)
-              sc.s_wmark.(i) <- wtag;
-              sc.s_wval.(i) <- 0.0
+              u.u_wmark.(i) <- wtag;
+              u.u_wval.(i) <- 0.0
             end;
-            d_k := !d_k +. sc.s_wval.(i)
+            d_k := !d_k +. u.u_wval.(i)
           done;
           let d_k = !d_k in
           if not (d_k > 0.0 && d_k < infinity) then
@@ -1110,28 +765,28 @@ let refactor u ~max_fraction =
           let sqrt_dk = sqrt d_k in
           Sparse.Vec.set buf 0 sqrt_dk;
           for q = lo + 1 to hi - 1 do
-            Sparse.Vec.set buf (q - lo) (-.sc.s_wval.(rows.%(q)) /. sqrt_dk)
+            Sparse.Vec.set buf (q - lo) (-.u.u_wval.(rows.%(q)) /. sqrt_dk)
           done;
           u.u_rec.r_d_elim.(kc) <- d_k;
           u.u_rec.r_d_exc.(kc) <- dvec;
           (* refresh this column's fill-edge weights from the new prefix
              sums; dropped slots stay dropped (frozen pattern) *)
           if m > 1 then begin
-            if Array.length sc.s_pfs < m then
-              sc.s_pfs <- Array.make (max (2 * m) 16) 0.0;
+            if Array.length u.u_pfs < m then
+              u.u_pfs <- Array.make (max (2 * m) 16) 0.0;
             let acc = ref 0.0 in
             for q = 0 to m - 1 do
-              acc := !acc +. sc.s_wval.(rows.%(lo + 1 + q));
-              sc.s_pfs.(q) <- !acc
+              acc := !acc +. u.u_wval.(rows.%(lo + 1 + q));
+              u.u_pfs.(q) <- !acc
             done;
-            let total = sc.s_pfs.(m - 1) in
+            let total = u.u_pfs.(m - 1) in
             let slot0 = u.u_rec.r_fill_ptr.(kc) in
             for j = 0 to m - 2 do
               let s = slot0 + j in
               if u.u_rec.r_fill_a.(s) >= 0 then begin
                 let w_new =
-                  (total -. sc.s_pfs.(j))
-                  *. sc.s_wval.(rows.%(lo + 1 + j))
+                  (total -. u.u_pfs.(j))
+                  *. u.u_wval.(rows.%(lo + 1 + j))
                   /. d_k
                 in
                 u.u_rec.r_fill_w.(s) <- Float.max w_new 0.0
@@ -1139,53 +794,7 @@ let refactor u ~max_fraction =
             done
           end
         in
-        let pool = Par.default () in
-        if !count >= par_refactor_min && Par.runs_parallel pool then begin
-          (* Group the closure by elimination unit: a unit column's inputs
-             (row kc of L, fill slots targeting kc) all come from the same
-             unit — every factor edge joins a column to an etree ancestor —
-             so unit groups re-eliminate concurrently; the separator tail
-             runs after the barrier and may read any of them. Values are a
-             pure function of the committed state, hence bit-identical to
-             the sequential sweep at any domain count. *)
-          for slot = 0 to Par.domains pool - 1 do
-            ignore (uscratch_for u slot)
-          done;
-          let n_units = u.u_n_units in
-          let group_count = Array.make (n_units + 1) 0 in
-          let n_tail = ref 0 in
-          Array.iter
-            (fun kc ->
-              let g = u.u_unit_of.(kc) in
-              if g >= 0 then group_count.(g + 1) <- group_count.(g + 1) + 1
-              else incr n_tail)
-            cols;
-          let group_ptr = group_count in
-          for g = 1 to n_units do
-            group_ptr.(g) <- group_ptr.(g) + group_ptr.(g - 1)
-          done;
-          let group_cols = Array.make (max group_ptr.(n_units) 1) 0 in
-          let tail = Array.make (max !n_tail 1) 0 in
-          let cursor = Array.copy group_ptr in
-          let tcursor = ref 0 in
-          (* cols is ascending, so each group and the tail stay ascending *)
-          Array.iter
-            (fun kc ->
-              let g = u.u_unit_of.(kc) in
-              if g >= 0 then begin
-                group_cols.(cursor.(g)) <- kc;
-                cursor.(g) <- cursor.(g) + 1
-              end
-              else begin
-                tail.(!tcursor) <- kc;
-                incr tcursor
-              end)
-            cols;
-          let tail = Array.sub tail 0 !n_tail in
-          Lower.refactor_columns_grouped l ~pool ~group_ptr ~group_cols
-            ~tail ~emit
-        end
-        else Lower.refactor_columns l ~cols ~emit:(emit 0);
+        Lower.refactor_columns l ~cols ~emit;
         u.u_dirty <- [];
         Refactored { columns = !count }
       end

@@ -1,7 +1,8 @@
 (* Linear-time bucket sort by degree with heavy-edge promotion inside each
    degree class: two stable passes over each bucket (heavy first). *)
-let order ?(heavy_factor = 10.0) g =
-  Obs.span "degree_sort" @@ fun () ->
+type shape = { max_degree : int; heavy_nodes : int }
+
+let order_shape ?(heavy_factor = 10.0) g =
   let n = Sddm.Graph.n_vertices g in
   let deg = Sddm.Graph.degrees g in
   let w_max = Sddm.Graph.max_incident_weight g in
@@ -19,24 +20,17 @@ let order ?(heavy_factor = 10.0) g =
     count.(d) <- count.(d) + count.(d - 1)
   done;
   let heavy_in_bucket = Array.make (d_max + 1) 0 in
+  let heavy = ref 0 in
   for i = 0 to n - 1 do
-    if is_heavy i then
-      heavy_in_bucket.(deg.(i)) <- heavy_in_bucket.(deg.(i)) + 1
+    if is_heavy i then begin
+      heavy_in_bucket.(deg.(i)) <- heavy_in_bucket.(deg.(i)) + 1;
+      incr heavy
+    end
   done;
   let heavy_cursor = Array.init (d_max + 1) (fun d -> count.(d)) in
   let light_cursor =
     Array.init (d_max + 1) (fun d -> count.(d) + heavy_in_bucket.(d))
   in
-  if Obs.enabled () then begin
-    let heavy = ref 0 in
-    for i = 0 to n - 1 do
-      if is_heavy i then incr heavy
-    done;
-    (* gauges, not counters: these describe the graph being ordered, so
-       repeated preparations in one capture must not sum them *)
-    Obs.gauge "heavy_nodes" (float_of_int !heavy);
-    Obs.gauge "max_degree" (float_of_int d_max)
-  end;
   let p = Array.make n 0 in
   for i = 0 to n - 1 do
     let d = deg.(i) in
@@ -49,4 +43,13 @@ let order ?(heavy_factor = 10.0) g =
       light_cursor.(d) <- light_cursor.(d) + 1
     end
   done;
+  (p, { max_degree = d_max; heavy_nodes = !heavy })
+
+let order ?heavy_factor g =
+  Obs.span "degree_sort" @@ fun () ->
+  let p, shape = order_shape ?heavy_factor g in
+  (* gauges, not counters: these describe the graph being ordered, so
+     repeated preparations in one capture must not sum them *)
+  Obs.gauge "heavy_nodes" (float_of_int shape.heavy_nodes);
+  Obs.gauge "max_degree" (float_of_int shape.max_degree);
   p

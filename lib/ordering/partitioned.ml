@@ -1,20 +1,23 @@
-(* Partition-aware fill-reducing ordering for parallel factorization.
+(* Partitioned Alg. 4 ordering: recursive bisection, then degree sort.
 
-   Alg. 4 degree sort applied to a whole mesh yields an elimination tree
-   that is close to a path: almost every column sits on one long dependency
-   chain, so an etree subtree cut finds no usable parallelism (measured on a
-   500x500 grid: 87-92% of the weight lands in the separator). Recursively
-   bisecting the graph first — BFS level structure from a pseudo-peripheral
-   vertex, cut at the middle level, separator emitted after both halves —
-   and only then degree-sorting each leaf block keeps the local fill
-   behavior of Alg. 4 while giving the etree genuinely independent branches:
-   every leaf block becomes a subtree that Factor.Etree.cut can schedule on
-   its own domain. This mirrors the partitioning step of RCHOL (Chen, Liang
-   & Biros, arXiv:2011.07769, §3.3).
+   The graph is bisected recursively — BFS level structure from a
+   pseudo-peripheral vertex, cut at the most balanced level, separator
+   emitted after both halves — and each block is then degree-sorted on
+   its induced subgraph, which keeps the local fill behavior of Alg. 4.
+   This mirrors the partitioning step of RCHOL (Chen, Liang & Biros,
+   arXiv:2011.07769, §3.3). It was introduced to give the elimination
+   tree independent subtrees for a parallel factorization scheduler; the
+   factorization is now one sequential sweep (DESIGN.md §15), so that
+   purpose is gone.
+
+   It stays the [Solver.powerrchol] and session default because the
+   benchmark's replay (perfbench/replay.ml) reproduces exactly this
+   ordering. Moving the default back to plain Alg. 4 (ROADMAP item 2(a))
+   waits for a benchmark change that makes the replay follow the
+   production ordering.
 
    The leaf size target depends only on the graph (a fixed fraction of n,
-   floored), never on the domain count, so the ordering — and everything
-   derived from it — is bit-identical on any machine. *)
+   floored), so the ordering is the same on any machine. *)
 
 let default_leaf_fraction = 1.0 /. 64.0
 let leaf_min = 1024
@@ -48,6 +51,7 @@ let order ?(heavy_factor = 10.0) ?(leaf_fraction = default_leaf_fraction) g =
     let in_set = Array.make n false in
     let level = Array.make n (-1) in
     let n_leaves = ref 0 in
+    let max_degree = ref 0 and heavy_nodes = ref 0 in
     (* Degree-sort a block on its induced subgraph; used for both leaves and
        separator blocks so every block keeps the Alg. 4 low-degree-first
        elimination flavor. *)
@@ -66,7 +70,12 @@ let order ?(heavy_factor = 10.0) ?(leaf_fraction = default_leaf_fraction) g =
                 | None -> ()))
         members;
       let sub = Sddm.Graph.create ~n:count ~edges:(Array.of_list !edges) in
-      let p = Degree_sort.order ~heavy_factor sub in
+      let p, shape =
+        Obs.span "degree_sort" (fun () ->
+            Degree_sort.order_shape ~heavy_factor sub)
+      in
+      max_degree := max !max_degree shape.Degree_sort.max_degree;
+      heavy_nodes := !heavy_nodes + shape.Degree_sort.heavy_nodes;
       Array.iteri (fun k local_idx -> perm.(base + k) <- members.(local_idx)) p
     in
     let rec dissect members ~base =
@@ -139,7 +148,13 @@ let order ?(heavy_factor = 10.0) ?(leaf_fraction = default_leaf_fraction) g =
       end
     in
     dissect (Array.init n (fun i -> i)) ~base:0;
-    if Obs.enabled () then
+    if Obs.enabled () then begin
       Obs.gauge "partition_blocks" (float_of_int !n_leaves);
+      (* one figure for the whole ordering, not the last block's: the
+         largest degree of any block and the heavy nodes of all blocks,
+         at the paths a plain Alg. 4 ordering reports them *)
+      Obs.gauge "degree_sort/max_degree" (float_of_int !max_degree);
+      Obs.gauge "degree_sort/heavy_nodes" (float_of_int !heavy_nodes)
+    end;
     perm
   end

@@ -2,11 +2,11 @@
 
     Recursively bisects the graph with BFS level cuts (separators emitted
     after both halves), then degree-sorts every block on its induced
-    subgraph. The resulting elimination tree has one independent branch per
-    leaf block, which is what lets {!Factor.Etree.cut} schedule the
-    randomized factorization across domains; plain {!Degree_sort} produces a
-    near-path tree with no extractable subtree parallelism. Deterministic:
-    depends only on the graph and the parameters, never on domain count. *)
+    subgraph. The default ordering of [Solver.powerrchol] and of ECO
+    sessions (see the header of partitioned.ml for why). With telemetry
+    on, it reports [partition_blocks] and, under [degree_sort/], the
+    largest [max_degree] and the summed [heavy_nodes] over all blocks.
+    Deterministic: depends only on the graph and the parameters. *)
 
 val order : ?heavy_factor:float -> ?leaf_fraction:float -> Sddm.Graph.t -> Sparse.Perm.t
 (** [order g] returns a permutation (position -> vertex). [heavy_factor] is

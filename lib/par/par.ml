@@ -123,90 +123,6 @@ let parallel_for p ?(min_work = 1) ~lo ~hi f =
     end
   end
 
-(* Fan [bounds.(i), bounds.(i+1)) chunks across the pool with the same
-   telemetry wrapping as [parallel_for]; [f] additionally receives its
-   chunk slot so callers can keep slot-private scratch (the subtree
-   elimination keeps one factorization workspace per slot). *)
-let run_bounds p ~bounds f =
-  let d = domains p in
-  let obs_on = Obs.enabled () in
-  let prefix = if obs_on then Obs.current_prefix () else "" in
-  if obs_on then Array.fill p.busy_s 0 d (-1.0);
-  p.busy <- true;
-  Fun.protect
-    ~finally:(fun () -> p.busy <- false)
-    (fun () ->
-      Par_backend.run p.backend_pool (fun i ->
-          let clo = bounds.(i) and chi = bounds.(i + 1) in
-          if clo < chi then
-            if obs_on then
-              Obs.worker_scope ~slot:i ~prefix (fun () ->
-                  let t0 = Obs.now () in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      p.busy_s.(i) <- Float.max (Obs.now () -. t0) 0.0)
-                    (fun () -> f i clo chi))
-            else f i clo chi));
-  if obs_on then
-    for i = 0 to d - 1 do
-      if p.busy_s.(i) >= 0.0 then
-        Obs.add_absolute p.busy_names.(i) p.busy_s.(i)
-    done
-
-let parallel_for_weighted p ?(min_work = 1) ~weight ~lo ~hi f =
-  let len = hi - lo in
-  if len > 0 then begin
-    let d = domains p in
-    if d = 1 || p.busy || len < min_work then f 0 lo hi
-    else begin
-      (* Chunk boundaries balance the weight prefix sums, not the item
-         count: chunk c ends at the first item whose cumulative weight
-         reaches c+1 shares of the total. Boundaries depend only on the
-         weights, so a run at any domain count sees the same chunks up to
-         concatenation. *)
-      let total = ref 0.0 in
-      for i = lo to hi - 1 do
-        let w = weight i in
-        if not (w >= 0.0) then
-          invalid_arg "Par.parallel_for_weighted: negative weight";
-        total := !total +. w
-      done;
-      let bounds = Array.make (d + 1) hi in
-      bounds.(0) <- lo;
-      let share = !total /. float_of_int d in
-      let acc = ref 0.0 in
-      let c = ref 1 in
-      for i = lo to hi - 1 do
-        acc := !acc +. weight i;
-        (* leave at least one item per remaining chunk *)
-        if
-          !c < d
-          && !acc >= (share *. float_of_int !c)
-          && i + 1 < hi
-          && i + 1 - lo >= !c
-        then begin
-          bounds.(!c) <- i + 1;
-          incr c
-        end
-      done;
-      for c' = !c to d - 1 do
-        bounds.(c') <- hi
-      done;
-      if Obs.enabled () && !total > 0.0 then begin
-        let wmax = ref 0.0 in
-        for i = 0 to d - 1 do
-          let cw = ref 0.0 in
-          for q = bounds.(i) to bounds.(i + 1) - 1 do
-            cw := !cw +. weight q
-          done;
-          if !cw > !wmax then wmax := !cw
-        done;
-        Obs.gauge "par/weighted_imbalance" (!wmax /. share)
-      end;
-      run_bounds p ~bounds f
-    end
-  end
-
 let default_block = 4096
 
 let reduce_blocked p ?(block = default_block) ~lo ~hi f =

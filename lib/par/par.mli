@@ -85,26 +85,6 @@ val parallel_for :
     counters [par/busy_s#<slot>], from which [Obs.capture] derives the
     [par/imbalance] ratio. When disabled the region costs one flag read. *)
 
-val parallel_for_weighted :
-  pool ->
-  ?min_work:int ->
-  weight:(int -> float) ->
-  lo:int ->
-  hi:int ->
-  (int -> int -> int -> unit) ->
-  unit
-(** [parallel_for_weighted pool ~weight ~lo ~hi f] is {!parallel_for} with
-    chunk boundaries placed on the prefix sums of [weight i] instead of the
-    item count — the subtree-task API of the parallel factorization, where
-    items are elimination-tree units of very uneven size. [f slot clo chi]
-    additionally receives the chunk slot (0-based, stable for the region)
-    so callers can keep slot-private scratch without locking. Runs
-    [f 0 lo hi] inline when the pool has one domain, is busy, or
-    [hi - lo < min_work]. Boundaries depend only on the weights — never on
-    timing or domain count. Weights must be nonnegative; when telemetry is
-    on, the max-chunk/ideal-share weight ratio is recorded as the
-    [par/weighted_imbalance] gauge. *)
-
 val default_block : int
 (** Block size used by {!reduce_blocked} when [?block] is omitted (4096). *)
 

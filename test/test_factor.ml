@@ -101,20 +101,6 @@ let test_etree_diagonal () =
     [| -1; -1; -1; -1; -1 |]
     parent
 
-let test_postorder_valid () =
-  let a = spd_problem ~seed:407 ~n:30 ~m:70 in
-  let parent = Factor.Etree.etree a in
-  let post = Factor.Etree.postorder parent in
-  Alcotest.(check bool) "postorder is a permutation" true
-    (Sparse.Perm.is_valid post);
-  (* children appear before parents *)
-  let pos = Sparse.Perm.inverse post in
-  Array.iteri
-    (fun v p ->
-      if p >= 0 then
-        Alcotest.(check bool) "child before parent" true (pos.(v) < pos.(p)))
-    parent
-
 let test_row_counts_match_factor () =
   let a = spd_problem ~seed:409 ~n:40 ~m:100 in
   let counts = Factor.Etree.row_counts a in
@@ -545,7 +531,10 @@ let test_updatable_breakdown_on_unground () =
     | _ -> false
     | exception Factor.Rand_chol.Breakdown { pivot; _ } -> not (pivot > 0.0))
 
-(* ---- parallel elimination scheduling (DESIGN.md §15) ---- *)
+(* ---- the factor does not depend on the pool (DESIGN.md §15) ----
+   The elimination is one sequential sweep, but it runs inside processes
+   whose default pool may be wide; these tests pin that the pool width
+   changes neither the factor's bits nor how a breakdown surfaces. *)
 
 (* Every test that widens the default pool restores it, so suites stay
    independent of execution order. *)
@@ -556,9 +545,7 @@ let with_domains d f =
       Par.set_default_domains d;
       f ())
 
-(* A mesh under the partitioned ordering — the configuration whose etree
-   actually has independent subtrees, so multi-domain runs genuinely
-   exercise the unit fan-out rather than collapsing into the separator. *)
+(* A mesh under the partitioned ordering, the production default. *)
 let partitioned_mesh ~w ~h =
   let g = Test_util.mesh_graph w h in
   let n = w * h in
@@ -614,10 +601,9 @@ let test_factor_bit_identical_across_domains () =
     ]
 
 let test_factor_breakdown_from_worker_domain () =
-  (* A small ungrounded component rides along with a big grounded mesh:
-     the whole small component fits under the unit cap, so its singular
-     pivot fires inside a worker domain at p >= 2. The typed Breakdown
-     must cross the domain boundary unchanged. *)
+  (* A small ungrounded component rides along with a big grounded mesh,
+     so one pivot is singular. Whatever the width of the default pool,
+     the typed Breakdown must surface, at the same column every time. *)
   let w, h = (40, 40) in
   let mesh = Test_util.mesh_graph w h in
   let n_mesh = w * h in
@@ -642,45 +628,15 @@ let test_factor_breakdown_from_worker_domain () =
           Alcotest.(check bool)
             (Printf.sprintf "nonpositive pivot surfaced at %d domains" dom)
             true
-            ((not (pivot > 0.0)) && column >= 0 && column < n))
+            ((not (pivot > 0.0)) && column >= 0 && column < n);
+          column)
   in
-  List.iter check_domains [ 1; 2; 4 ]
-
-let test_refactor_grouped_matches_sequential () =
-  (* A closure bigger than the parallel threshold, refactored at 1 and 4
-     domains: the grouped path must produce the same bits, and the
-     refactored factor must satisfy the same values a fresh sequential
-     updatable run reaches after the same edits. *)
-  let gp, dp = partitioned_mesh ~w:48 ~h:48 in
-  let run d =
-    with_domains d (fun () ->
-        let u =
-          Factor.Lt_rchol.factorize_updatable ~rng:(Rng.create 7) gp ~d:dp
-        in
-        (* touch several spread-out columns so the ancestor closure spans
-           multiple units plus the separator *)
-        let n = Array.length dp in
-        List.iter
-          (fun k ->
-            let k = k mod n in
-            Factor.Rand_chol.set_excess u k
-              (Factor.Rand_chol.excess u k +. 0.25))
-          [ 3; n / 4; n / 2; (3 * n) / 4 ];
-        (match Factor.Rand_chol.refactor u ~max_fraction:1.0 with
-        | Factor.Rand_chol.Refactored { columns } ->
-          Alcotest.(check bool)
-            (Printf.sprintf "closure crosses the parallel threshold (%d)"
-               columns)
-            true (columns > 512)
-        | Factor.Rand_chol.Too_large _ -> Alcotest.fail "unexpected Too_large");
-        factor_fingerprint (Factor.Rand_chol.factor u))
-  in
-  let seq = run 1 in
+  let at1 = check_domains 1 in
   List.iter
-    (fun d ->
-      Alcotest.(check string)
-        (Printf.sprintf "refactor at %d domains = 1 domain" d)
-        seq (run d))
+    (fun dom ->
+      Alcotest.(check int)
+        (Printf.sprintf "breakdown column at %d domains = 1 domain" dom)
+        at1 (check_domains dom))
     [ 2; 4 ]
 
 let test_refactor_scratch_cached () =
@@ -700,7 +656,7 @@ let test_refactor_scratch_cached () =
   bump ();
   let sched_before = Factor.Lower.schedule l in
   let diag_before = Factor.Lower.diag l in
-  let bufs_before = l.Factor.Lower.refactor_bufs in
+  let buf_before = l.Factor.Lower.refactor_buf in
   let alloc_of f =
     let before = Gc.minor_words () in
     f ();
@@ -713,8 +669,8 @@ let test_refactor_scratch_cached () =
   Alcotest.(check bool) "diag cache not rebuilt" true
     (diag_before == Factor.Lower.diag l);
   Alcotest.(check bool) "column scratch reused" true
-    (bufs_before == l.Factor.Lower.refactor_bufs
-    && Array.length bufs_before > 0);
+    (buf_before == l.Factor.Lower.refactor_buf
+    && Sparse.Vec.length buf_before > 0);
   (* steady state: a warm refactor's allocation is flat, not growing —
      a reintroduced per-call cache rebuild would show as a3 >> a2 *)
   Alcotest.(check bool)
@@ -741,7 +697,6 @@ let () =
         [
           Alcotest.test_case "arrow chain" `Quick test_etree_arrow;
           Alcotest.test_case "diagonal forest" `Quick test_etree_diagonal;
-          Alcotest.test_case "postorder" `Quick test_postorder_valid;
           Alcotest.test_case "row counts = factor nnz" `Quick
             test_row_counts_match_factor;
         ] );
@@ -800,8 +755,6 @@ let () =
             test_factor_bit_identical_across_domains;
           Alcotest.test_case "breakdown crosses worker domains" `Quick
             test_factor_breakdown_from_worker_domain;
-          Alcotest.test_case "grouped refactor = sequential" `Quick
-            test_refactor_grouped_matches_sequential;
           Alcotest.test_case "refactor scratch cached" `Quick
             test_refactor_scratch_cached;
         ] );

@@ -158,6 +158,41 @@ let test_suite_random_rhs () =
   Test_util.check_float "matrix unchanged" 0.0
     (Sparse.Csc.frobenius_diff p0.Sddm.Problem.a p1.Sddm.Problem.a)
 
+(* Quality contract of the randomized preconditioner: over a sweep of
+   seeds every solve converges well inside the iteration cap and the
+   iteration counts stay tight (p95 at most 1.25 times the median). A
+   sampler or ordering change that makes some realizations much worse
+   shows here even when each single seed still converges. *)
+let test_seed_sweep_iteration_spread () =
+  let p = (Powergrid.Suite.find "pg02").Powergrid.Suite.build () in
+  let max_iter = 500 in
+  let seeds = List.init 12 (fun i -> 1 + (7 * i)) in
+  let iters =
+    List.map
+      (fun seed ->
+        let r =
+          Powerrchol.Solver.run ~max_iter (Powerrchol.Solver.powerrchol ~seed ()) p
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d converged (Ni=%d)" seed
+             r.Powerrchol.Solver.iterations)
+          true r.Powerrchol.Solver.converged;
+        r.Powerrchol.Solver.iterations)
+      seeds
+  in
+  let sorted = Array.of_list (List.sort compare iters) in
+  let k = Array.length sorted in
+  (* nearest-rank percentiles *)
+  let pct q = sorted.(max 0 (int_of_float (ceil (q *. float_of_int k)) - 1)) in
+  let p50 = pct 0.50 and p95 = pct 0.95 and worst = sorted.(k - 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "max iterations %d < max_iter %d" worst max_iter)
+    true (worst < max_iter);
+  Alcotest.(check bool)
+    (Printf.sprintf "p95/p50 = %d/%d <= 1.25" p95 p50)
+    true
+    (float_of_int p95 <= 1.25 *. float_of_int p50)
+
 let () =
   Alcotest.run "integration"
     [
@@ -179,6 +214,11 @@ let () =
           Alcotest.test_case "solve_matrix rejects non-SDDM" `Quick
             test_solve_matrix_rejects_non_sddm;
           Alcotest.test_case "suite random rhs" `Quick test_suite_random_rhs;
+        ] );
+      ( "quality",
+        [
+          Alcotest.test_case "seed sweep iteration spread" `Quick
+            test_seed_sweep_iteration_spread;
         ] );
       ( "families",
         [ Alcotest.test_case "table-4 analogs" `Slow test_other_case_families ] );

@@ -676,6 +676,44 @@ let test_degree_sort_gauges_not_additive () =
   Alcotest.(check bool) "max_degree positive" true (once > 0.0);
   Test_util.check_float "gauge not doubled by repeated ordering" once twice
 
+let test_partitioned_gauges_cover_every_block () =
+  (* The partitioned ordering degree-sorts many blocks; its max_degree and
+     heavy_nodes gauges must describe all of them (max and sum), not the
+     last block, which is a separator with no interior edges. One edge in
+     fifty is 1e4 times heavier than the rest, so every leaf block holds
+     heavy nodes. *)
+  let w, h = (64, 64) in
+  let edges = ref [] and e = ref 0 in
+  Sddm.Graph.iter_edges (Test_util.mesh_graph w h) (fun u v _ ->
+      edges := (u, v, if !e mod 50 = 0 then 1e4 else 1.0) :: !edges;
+      incr e);
+  let g = Sddm.Graph.create ~n:(w * h) ~edges:(Array.of_list !edges) in
+  let whole =
+    with_obs_enabled @@ fun () ->
+    ignore (Ordering.Degree_sort.order g);
+    let r = Obs.capture () in
+    (counter r "degree_sort/max_degree", counter r "degree_sort/heavy_nodes")
+  in
+  let blocks, max_degree, heavy =
+    with_obs_enabled @@ fun () ->
+    ignore (Ordering.Partitioned.order g);
+    let r = Obs.capture () in
+    ( counter r "partitioned_order/partition_blocks",
+      counter r "partitioned_order/degree_sort/max_degree",
+      counter r "partitioned_order/degree_sort/heavy_nodes" )
+  in
+  Alcotest.(check bool) "several blocks" true (blocks > 1.0);
+  (* a plain Alg. 4 ordering reports its whole graph *)
+  Test_util.check_float "whole-graph max_degree" 4.0 (fst whole);
+  Alcotest.(check bool) "whole-graph heavy nodes" true (snd whole > 100.0);
+  Test_util.check_float "partitioned max_degree is the max over blocks"
+    (fst whole) max_degree;
+  Alcotest.(check bool)
+    (Printf.sprintf "partitioned heavy_nodes %.0f sums the blocks (%.0f)"
+       heavy (snd whole))
+    true
+    (heavy >= 0.5 *. snd whole && heavy <= snd whole)
+
 (* ---- profiled solves ---- *)
 
 let grid_problem () =
@@ -798,6 +836,8 @@ let () =
             test_counter_monotonic;
           Alcotest.test_case "degree_sort reports gauges, not sums" `Quick
             test_degree_sort_gauges_not_additive;
+          Alcotest.test_case "partitioned gauges cover every block" `Quick
+            test_partitioned_gauges_cover_every_block;
         ] );
       ( "json",
         [
